@@ -80,7 +80,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def _csv_cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy scalars repr as np.float64(...)
     return str(value)
 
 

@@ -12,7 +12,10 @@ predictor-corrector quadrature of the variation-of-constants integral:
 
 The forcing kernel vanishes at zero time lag, so the trapezoid endpoint at
 the new time drops out of the u row and the corrector stays explicit while
-the scheme is globally second order.  Fundamental solutions are never
+the scheme is globally second order.  Spectra are stored in the real
+half-spectrum layout of ``fields``, so every physical field is real by
+construction and the recorded norms carry the Hermitian multiplicity
+weights.  Fundamental solutions are never
 materialized in physical space; propagation is multiplier application,
 which is their exact action.
 
@@ -34,8 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .fields import (GridSpec, SpectrumField, _forward_coeffs, _inverse_samples,
-                     dealias_mask, wavenumber_magnitude)
+from .fields import (GridSpec, SpectrumField, _forward_coeffs, _irfftn, _rfftn,
+                     _unitary_scales, dealias_mask, hermitian_weight,
+                     wavenumber_magnitude)
 from .propagators import kernel_entries
 
 STATUS_COMPLETED = "Completed"
@@ -141,66 +145,81 @@ def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
 
 
 class _Workspace:
-    """Cached grid arrays and per-step-size kernel entries for one grid."""
+    """Cached half-layout arrays and per-step-size kernel products for one grid.
 
-    def __init__(self, grid: GridSpec):
+    Steps use the unnormalized transforms; the unitary scales and the
+    dealias mask ride on cached multipliers, so no step rescales or masks a
+    whole array.  The linear terms stay unmasked.
+    """
+
+    def __init__(self, grid: GridSpec, dealias: bool):
         self.grid = grid
         self.kmag = wavenumber_magnitude(grid)
-        self.mask = dealias_mask(grid)
+        mask = dealias_mask(grid) if dealias else 1.0
+        forward_scale, inverse_scale = _unitary_scales(grid)
+        # raw _rfftn output -> masked unitary coefficients
+        self.forcing_fold = mask * forward_scale
+        # unitary coefficients -> masked input of the raw _irfftn
+        self.synthesis = mask * inverse_scale
         self._entries: dict[float, tuple] = {}
 
     def entries(self, h: float) -> tuple:
+        """Linear entries k00..k11 at h, then the forcing multipliers
+        (h/2) k01, (h/2) k11 and h/2, each folded with mask and scale."""
         cached = self._entries.get(h)
         if cached is None:
-            cached = kernel_entries(h, self.kmag)
+            k00, k01, k10, k11 = kernel_entries(h, self.kmag)
+            half_fold = 0.5 * h * self.forcing_fold
+            cached = (k00, k01, k10, k11, k01 * half_fold, k11 * half_fold,
+                      half_fold)
             if len(self._entries) > 24:
                 self._entries.clear()
             self._entries[h] = cached
         return cached
 
-    def norm_weights(self, s: float, gamma: float):
-        zero = (0,) * self.grid.dim
-        with np.errstate(divide="ignore"):
-            w_s = self.kmag ** (2.0 * s)
-            w_neg = self.kmag ** (-2.0 * gamma)
-        w_s[zero] = 0.0
-        w_neg[zero] = 0.0
-        return w_s, w_neg
-
-    def physical(self, coeffs: np.ndarray, dealias: bool) -> np.ndarray:
-        c = coeffs * self.mask if dealias else coeffs
-        return _inverse_samples(c, self.grid).real
+    def physical(self, coeffs: np.ndarray) -> np.ndarray:
+        return _irfftn(coeffs * self.synthesis, self.grid)
 
 
 @lru_cache(maxsize=8)
-def _workspace(grid: GridSpec) -> _Workspace:
-    return _Workspace(grid)
+def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
+    return _Workspace(grid, dealias)
+
+
+def _norm_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
+    """Weights of the recorded L2, H^s and H^-gamma sums, Hermitian
+    multiplicity included; the last two skip k = 0."""
+    mult = hermitian_weight(grid)
+    kmag = wavenumber_magnitude(grid)
+    zero = (0,) * grid.dim
+    with np.errstate(divide="ignore"):
+        w_s = mult * kmag ** (2.0 * s)
+        w_neg = mult * kmag ** (-2.0 * gamma)
+    w_s[zero] = 0.0
+    w_neg[zero] = 0.0
+    return mult, w_s, w_neg
+
+
+def _norms(coeffs: np.ndarray, weights: tuple) -> list[float]:
+    mag_sq = np.abs(coeffs) ** 2
+    return [float(np.sqrt(np.sum(w * mag_sq))) for w in weights]
 
 
 def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
-                 p: float, dealias: bool, ws: _Workspace):
+                 p: float, ws: _Workspace):
     """One predictor-corrector step on raw coefficient arrays.
 
     ``u_phys`` must be the (dealiased) physical field of ``u``.  Returns the
     new coefficient pair plus the new physical field and its max amplitude.
     """
-    k00, k01, k10, k11 = ws.entries(h)
-    forcing0 = _forward_coeffs(nonlinearity(u_phys, p), ws.grid)
-    if dealias:
-        forcing0 = forcing0 * ws.mask
-
-    lin_u = k00 * u + k01 * ut
-    lin_ut = k10 * u + k11 * ut
-
-    predictor = lin_u + h * k01 * forcing0
-    predictor_phys = ws.physical(predictor, dealias)
-    forcing_h = _forward_coeffs(nonlinearity(predictor_phys, p), ws.grid)
-    if dealias:
-        forcing_h = forcing_h * ws.mask
-
-    u_new = lin_u + 0.5 * h * k01 * forcing0
-    ut_new = lin_ut + 0.5 * h * (k11 * forcing0 + forcing_h)
-    u_new_phys = ws.physical(u_new, dealias)
+    k00, k01, k10, k11, half_k01, half_k11, half = ws.entries(h)
+    forcing0 = _rfftn(nonlinearity(u_phys, p), ws.grid)
+    kick = half_k01 * forcing0  # (h/2) k01(h) N0
+    u_new = k00 * u + k01 * ut + kick
+    predictor_phys = ws.physical(u_new + kick)
+    forcing_h = _rfftn(nonlinearity(predictor_phys, p), ws.grid)
+    ut_new = k10 * u + k11 * ut + half_k11 * forcing0 + half * forcing_h
+    u_new_phys = ws.physical(u_new)
     return u_new, ut_new, u_new_phys, float(np.max(np.abs(u_new_phys)))
 
 
@@ -208,12 +227,10 @@ def step(state: State, h: float, config: SolverConfig) -> State:
     """Advance a state by one step of size h (no adaptivity, no checks)."""
     if h <= 0:
         raise DomainError(f"step size must be positive, got {h}")
-    ws = _workspace(state.grid)
+    ws = _workspace(state.grid, config.dealias)
     u = state.u_hat.coeffs
     ut = state.ut_hat.coeffs
-    u_phys = ws.physical(u, config.dealias)
-    u_new, ut_new, _, _ = _step_arrays(u, ut, u_phys, h, config.p,
-                                       config.dealias, ws)
+    u_new, ut_new, _, _ = _step_arrays(u, ut, ws.physical(u), h, config.p, ws)
     if not (np.isfinite(u_new).all() and np.isfinite(ut_new).all()):
         return State(SpectrumField(state.grid, u_new, diverged=True),
                      SpectrumField(state.grid, ut_new, diverged=True),
@@ -251,11 +268,11 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     if u0.shape != grid.shape or u1.shape != grid.shape:
         raise ContractError("initial data shape does not match the grid")
 
-    ws = _workspace(grid)
-    w_s, w_neg = ws.norm_weights(s, gamma)
+    ws = _workspace(grid, config.dealias)
+    weights = _norm_weights(grid, s, gamma)
     u = _forward_coeffs(config.eps * u0, grid)
     ut = _forward_coeffs(config.eps * u1, grid)
-    u_phys = ws.physical(u, config.dealias)
+    u_phys = ws.physical(u)
 
     times, l2s, hss, hnegs, maxes = [], [], [], [], []
     weighted_sup = 0.0
@@ -264,10 +281,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         nonlocal weighted_sup
         if times and t <= times[-1]:
             return
-        mag_sq = np.abs(coeffs) ** 2
-        l2 = float(np.sqrt(np.sum(mag_sq)))
-        hs = float(np.sqrt(np.sum(w_s * mag_sq)))
-        hneg = float(np.sqrt(np.sum(w_neg * mag_sq)))
+        l2, hs, hneg = _norms(coeffs, weights)
         times.append(t)
         l2s.append(l2)
         hss.append(hs)
@@ -294,7 +308,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     while t < config.t_end * (1.0 - 1e-12):
         h_try = min(h, config.t_end - t)
         u_new, ut_new, u_new_phys, max_new = _step_arrays(
-            u, ut, u_phys, h_try, config.p, config.dealias, ws)
+            u, ut, u_phys, h_try, config.p, ws)
 
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
         grew_too_fast = finite and max_cur > 0 and \
@@ -355,9 +369,10 @@ def energy(state: State) -> float:
 
     Nonincreasing along source-free trajectories; used as a health check.
     """
+    mult = hermitian_weight(state.grid)
     kmag = wavenumber_magnitude(state.grid)
-    ut_sq = np.sum(np.abs(state.ut_hat.coeffs) ** 2)
-    grad_sq = np.sum(kmag ** 2 * np.abs(state.u_hat.coeffs) ** 2)
+    ut_sq = np.sum(mult * np.abs(state.ut_hat.coeffs) ** 2)
+    grad_sq = np.sum(mult * kmag ** 2 * np.abs(state.u_hat.coeffs) ** 2)
     return float(0.5 * (ut_sq + grad_sq))
 
 
@@ -367,16 +382,12 @@ def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,
 
     Returns arrays (l2, hs, hneg) for the data pair (eps*u0, eps*u1).
     """
-    ws = _workspace(grid)
-    w_s, w_neg = ws.norm_weights(s, gamma)
+    weights = _norm_weights(grid, s, gamma)
+    kmag = wavenumber_magnitude(grid)
     u = _forward_coeffs(eps * np.asarray(u0, dtype=float), grid)
     ut = _forward_coeffs(eps * np.asarray(u1, dtype=float), grid)
-    l2s, hss, hnegs = [], [], []
+    rows = []
     for t in np.asarray(times, dtype=float):
-        k00, k01, _, _ = kernel_entries(float(t), ws.kmag)
-        evolved = k00 * u + k01 * ut
-        mag_sq = np.abs(evolved) ** 2
-        l2s.append(float(np.sqrt(np.sum(mag_sq))))
-        hss.append(float(np.sqrt(np.sum(w_s * mag_sq))))
-        hnegs.append(float(np.sqrt(np.sum(w_neg * mag_sq))))
-    return np.asarray(l2s), np.asarray(hss), np.asarray(hnegs)
+        k00, k01, _, _ = kernel_entries(float(t), kmag)
+        rows.append(_norms(k00 * u + k01 * ut, weights))
+    return tuple(np.asarray(rows, dtype=float).reshape(-1, 3).T.copy())

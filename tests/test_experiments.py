@@ -9,6 +9,7 @@ from critex.experiments import TestFunctionSpec as CutoffSpec
 from critex.experiments import (build_profile,
                                 emit_phase_diagram, evaluate_testfn_functional,
                                 experiment_evolve, experiment_lifespan,
+                                experiment_linear_decay,
                                 experiment_phase_diagram, experiment_testfn,
                                 exponent_gate, fit_sweep_slope, parse_profile,
                                 run_decay_suite, run_diffusion_suite,
@@ -244,6 +245,19 @@ class TestRunDirectories:
         assert sweep_lines[0] == "eps,T,status"
         assert len(sweep_lines) == 9
         assert report["fitted_slope"] is not None
+
+    def test_curves_csv_cells_are_plain_numbers(self, tmp_path):
+        run_dir, _ = experiment_linear_decay(
+            n=2, gamma=0.7, s=1.0, profile="powerlaw:a=0.25", t0=10.0,
+            t1=1e3, points=16, out=str(tmp_path))
+        lines = (run_dir / "curves.csv").read_text().splitlines()
+        assert lines[0] == "t,norm,s,gamma,kind"
+        assert len(lines) > 1
+        for line in lines[1:]:
+            *numbers, kind = line.split(",")
+            assert kind in ("damped", "heat", "difference"), line
+            for cell in numbers:
+                assert math.isfinite(float(cell)), line
 
     def test_phase_diagram_artifacts(self, tmp_path):
         run_dir, report = experiment_phase_diagram(

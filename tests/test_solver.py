@@ -240,3 +240,66 @@ class TestRun:
         result = run(config, data, np.zeros(grid.shape), grid, 1.0, 0.5)
         assert result.status == STATUS_COMPLETED
         assert np.all(np.isfinite(result.l2))
+
+
+def complex_fft_lifespan(config, u0, u1, grid):
+    """Lifespan from the full complex-spectrum scheme: ``fftn``/``ifftn``
+    with the dealias mask applied to every transform, under the solver's
+    step control."""
+    from critex.propagators import kernel_entries
+    from critex.solver import (_QUIET_AMPLITUDE_RATIO, _REGROWTH_STREAK,
+                               _STEP_CAP_FRACTION)
+    scale = grid.length ** (grid.dim / 2) / grid.points ** grid.dim
+    m = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
+    kmag = 2 * np.pi * np.abs(np.fft.fftfreq(grid.points, d=grid.spacing))
+    mask = (np.abs(m) <= grid.points / 3.0) if config.dealias else 1.0
+
+    def physical(c):
+        return np.fft.ifftn(c * mask / scale).real
+
+    def forcing(phys):
+        return np.fft.fftn(np.abs(phys) ** config.p) * scale * mask
+
+    u = np.fft.fftn(config.eps * u0) * scale
+    ut = np.fft.fftn(config.eps * u1) * scale
+    u_phys = physical(u)
+    t, h, streak = 0.0, config.dt, 0
+    max_cur = float(np.max(np.abs(u_phys)))
+    while t < config.t_end * (1.0 - 1e-12):
+        h_try = min(h, config.t_end - t)
+        k00, k01, k10, k11 = kernel_entries(h_try, kmag)
+        f0 = forcing(u_phys)
+        lin_u, lin_ut = k00 * u + k01 * ut, k10 * u + k11 * ut
+        fh = forcing(physical(lin_u + h_try * k01 * f0))
+        u_new = lin_u + 0.5 * h_try * k01 * f0
+        ut_new = lin_ut + 0.5 * h_try * (k11 * f0 + fh)
+        new_phys = physical(u_new)
+        max_new = float(np.max(np.abs(new_phys)))
+        finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
+        if not finite or (max_cur > 0 and max_new > config.growth_factor * max_cur):
+            h, streak = 0.5 * h_try, 0
+            assert h >= config.dt * config.dt_min_ratio
+            continue
+        quiet = max_cur == 0.0 or max_new <= _QUIET_AMPLITUDE_RATIO * max_cur
+        t += h_try
+        u, ut, u_phys, max_cur = u_new, ut_new, new_phys, max_new
+        streak += 1
+        h_cap = max(config.dt, t * _STEP_CAP_FRACTION)
+        if streak >= _REGROWTH_STREAK and h < h_cap and quiet:
+            h, streak = min(2.0 * h, h_cap), 0
+        if max_cur > config.theta:
+            return t
+    return math.inf
+
+
+class TestHalfSpectrumAgainstComplexFFT:
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_lifespan_matches_complex_reference(self, dealias):
+        grid = GridSpec(dim=1, length=100 * np.pi, points=512)
+        data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+        config = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0,
+                              dealias=dealias)
+        result = run(config, data, data, grid, 1.0, 0.5)
+        expected = complex_fft_lifespan(config, data, data, grid)
+        assert math.isfinite(expected)
+        assert result.lifespan == pytest.approx(expected, rel=1e-12)
