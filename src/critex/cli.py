@@ -1,16 +1,35 @@
 """Command line interface.
 
-Every experiment takes long-form flags only; ``--config FILE`` loads a flat
-JSON object mirroring the flags, with explicit flags taking precedence.
-Run artifacts land under ``--out``, the ``CRITEX_OUT`` environment variable,
-or ``./runs``, in that order.
+Each command is one function in ``COMMANDS``, and its signature is the
+command's only description:
+
+* every parameter is a long flag named after it, with ``_`` written as
+  ``-`` (``eps_start`` is ``--eps-start``, ``N`` is ``--N``);
+* the annotation gives the value's type; ``list[float]`` reads a comma list
+  (``--R 2,4,8``) or, in a config file, a JSON list;
+* the signature's default is the flag's default, and a parameter without a
+  default is required unless its type admits ``None``;
+* ``--config FILE`` reads a flat JSON object keyed by parameter name (with
+  ``_``); explicit flags win over it, and ``null`` stands for the default.
+  An unknown key, a value that cannot be read as its type, or a ``kind``
+  other than the command is an error, so a run's ``config.json`` re-runs
+  it.
+
+A run command prints ``run_dir`` plus the run's ``report.json``;
+``exponents`` prints a JSON payload and ``probe`` a CSV table.  Run
+artifacts land under ``--out``, the ``CRITEX_OUT`` environment variable, or
+``./runs``, in that order.  Bad input exits with status 2 and one
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import experiments
@@ -20,55 +39,14 @@ from .exponents import (RegimeParams, alpha0, classify_regime, gamma_tilde,
                         sharp_lifespan_admissible)
 from .propagators import propagator
 
-_REQUIRED = object()
 
-
-def _merged(args: argparse.Namespace, fields: dict[str, object]) -> dict:
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text())
-    merged = {}
-    missing = []
-    for name, default in fields.items():
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            merged[name] = cli_value
-        elif name in file_values:
-            merged[name] = file_values[name]
-        elif default is _REQUIRED:
-            missing.append(name)
-        else:
-            merged[name] = default
-    if missing:
-        raise CritexError(
-            "missing required options: " + ", ".join(f"--{m.replace('_', '-')}"
-                                                     for m in missing))
-    return merged
-
-
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(item) for item in text.split(",") if item]
-
-
-# ---------------------------------------------------------------------------
-# handlers
-# ---------------------------------------------------------------------------
-
-def _cmd_exponents(args) -> int:
-    values = _merged(args, {"n": _REQUIRED, "gamma": _REQUIRED,
-                            "p": None, "s": 1.0})
-    n, gamma = float(values["n"]), float(values["gamma"])
+def exponents(n: float, gamma: float, p: float | None = None,
+              s: float = 1.0) -> dict:
+    """Thresholds and regime verdict."""
     derived = {"p_crit": p_crit(n, gamma), "p_fujita": p_fujita(n),
                "gamma_tilde": gamma_tilde(n)}
     payload = {"params": {"n": n, "gamma": gamma}, "derived": derived}
-    if values["p"] is not None:
-        p = float(values["p"])
-        s = float(values["s"])
+    if p is not None:
         params = RegimeParams(n=n, gamma=gamma, s=s, p=p)
         payload["params"].update({"p": p, "s": s})
         try:
@@ -80,121 +58,119 @@ def _cmd_exponents(args) -> int:
         admissible = sharp_lifespan_admissible(params)
         payload["sharp_lifespan_admissible"] = admissible.admissible
         if p < derived["p_crit"]:
-            payload["derived"]["lifespan_exponent"] = lifespan_exponent(p, n, gamma)
-            payload["derived"]["alpha0"] = alpha0(p, n, gamma)
-    _emit(payload)
-    return 0
+            derived["lifespan_exponent"] = lifespan_exponent(p, n, gamma)
+            derived["alpha0"] = alpha0(p, n, gamma)
+    return payload
 
 
-def _cmd_probe(args) -> int:
-    values = _merged(args, {"t": _REQUIRED, "r": _REQUIRED})
-    times = _float_list(str(values["t"]))
-    radii = _float_list(str(values["r"]))
-    sys.stdout.write("t,r,k00,k01,k10,k11\n")
-    for t in times:
-        for r in radii:
-            mat = propagator(t, r)
-            sys.stdout.write(
-                f"{t!r},{r!r},{mat.k00!r},{mat.k01!r},{mat.k10!r},{mat.k11!r}\n")
-    return 0
+def probe(t: list[float], r: list[float]) -> str:
+    """Propagator entries at every (t, r) pair, as CSV."""
+    lines = ["t,r,k00,k01,k10,k11\n"]
+    for time in t:
+        for radius in r:
+            mat = propagator(time, radius)
+            lines.append(f"{time!r},{radius!r},{mat.k00!r},{mat.k01!r},"
+                         f"{mat.k10!r},{mat.k11!r}\n")
+    return "".join(lines)
 
 
-def _cmd_linear_decay(args) -> int:
-    values = _merged(args, {"n": _REQUIRED, "gamma": _REQUIRED, "s": _REQUIRED,
-                            "profile": _REQUIRED, "t0": 1.0, "t1": 1e5,
-                            "points": 96, "out": None, "seed": 0})
-    run_dir, report = experiments.experiment_linear_decay(
-        float(values["n"]), float(values["gamma"]), float(values["s"]),
-        str(values["profile"]), float(values["t0"]), float(values["t1"]),
-        int(values["points"]), values["out"], int(values["seed"]))
-    _emit({"run_dir": str(run_dir), **report})
-    return 0
+_REQUIRED = inspect.Parameter.empty
+
+COMMANDS = {
+    "exponents": exponents,
+    "probe": probe,
+    "linear-decay": experiments.experiment_linear_decay,
+    "diffusion": experiments.experiment_diffusion,
+    "evolve": experiments.experiment_evolve,
+    "lifespan": experiments.experiment_lifespan,
+    "phase-diagram": experiments.experiment_phase_diagram,
+    "testfn": experiments.experiment_testfn,
+}
 
 
-def _cmd_diffusion(args) -> int:
-    values = _merged(args, {"n": _REQUIRED, "gamma": _REQUIRED, "s": _REQUIRED,
-                            "profile": _REQUIRED, "t0": 1.0, "t1": 1e5,
-                            "points": 96, "out": None, "seed": 0})
-    run_dir, report = experiments.experiment_diffusion(
-        float(values["n"]), float(values["gamma"]), float(values["s"]),
-        str(values["profile"]), float(values["t0"]), float(values["t1"]),
-        int(values["points"]), values["out"], int(values["seed"]))
-    _emit({"run_dir": str(run_dir), **report})
-    return 0
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _cmd_evolve(args) -> int:
-    values = _merged(args, {"dim": _REQUIRED, "N": None, "L": None,
-                            "p": _REQUIRED, "eps": _REQUIRED,
-                            "gamma": _REQUIRED, "s": 1.0, "dt": 0.02,
-                            "tend": 100.0, "snapshots": 0, "theta": 1e8,
-                            "out": None, "seed": 0})
-    run_dir, meta = experiments.experiment_evolve(
-        int(values["dim"]),
-        int(values["N"]) if values["N"] is not None else None,
-        float(values["L"]) if values["L"] is not None else None,
-        float(values["p"]), float(values["eps"]), float(values["gamma"]),
-        float(values["s"]), float(values["dt"]), float(values["tend"]),
-        int(values["snapshots"]), float(values["theta"]), values["out"],
-        int(values["seed"]))
-    _emit({"run_dir": str(run_dir), "status": meta["status"],
-           "blow_up_time": meta["blow_up_time"],
-           "weighted_sup": meta["weighted_sup"]})
-    return 0
+@functools.cache  # else every call evaluates every signature's annotations
+def _parameters(fn) -> dict[str, tuple[object, object]]:
+    """Name -> (type, default) of every parameter of ``fn``.  ``X | None``
+    reads as ``X`` with default None; ``_REQUIRED`` marks no default."""
+    parameters = {}
+    for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+        hint, default = param.annotation, param.default
+        if type(None) in typing.get_args(hint):
+            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+            default = None if default is _REQUIRED else default
+        parameters[name] = (hint, default)
+    return parameters
 
 
-def _cmd_lifespan(args) -> int:
-    # defaults give 8 geometric points per decade of eps
-    values = _merged(args, {"dim": _REQUIRED, "gamma": _REQUIRED,
-                            "s": _REQUIRED, "p": _REQUIRED,
-                            "eps_start": _REQUIRED,
-                            "eps_factor": 10 ** (-1 / 7), "count": 8,
-                            "N": None, "L": None,
-                            "dt": 0.02, "tend": 2000.0, "theta": 1e8,
-                            "workers": 1, "out": None, "seed": 0})
-    run_dir, report = experiments.experiment_lifespan(
-        int(values["dim"]), float(values["gamma"]), float(values["s"]),
-        float(values["p"]), float(values["eps_start"]),
-        float(values["eps_factor"]), int(values["count"]),
-        int(values["N"]) if values["N"] is not None else None,
-        float(values["L"]) if values["L"] is not None else None,
-        float(values["dt"]), float(values["tend"]), float(values["theta"]),
-        int(values["workers"]), values["out"], int(values["seed"]))
-    _emit({"run_dir": str(run_dir), **report})
-    return 0
+def _coerce(name: str, value, hint):
+    """``value`` (a flag's text or a JSON value) as the type ``hint``."""
+    try:
+        if typing.get_origin(hint) is list:
+            items = value.split(",") if isinstance(value, str) else value
+            if not isinstance(items, list):
+                raise TypeError(value)
+            (item_type,) = typing.get_args(hint)
+            return [_scalar(item_type, item) for item in items if item != ""]
+        return _scalar(hint, value)
+    except (TypeError, ValueError):
+        raise CritexError(f"{_flag(name)}: cannot read {value!r} as "
+                          f"{inspect.formatannotation(hint)}") from None
 
 
-def _cmd_phase_diagram(args) -> int:
-    values = _merged(args, {"n": _REQUIRED, "s": _REQUIRED,
-                            "gamma_min": _REQUIRED, "gamma_max": _REQUIRED,
-                            "gamma_steps": _REQUIRED, "p_min": _REQUIRED,
-                            "p_max": _REQUIRED, "p_steps": _REQUIRED,
-                            "out": None})
-    run_dir, report = experiments.experiment_phase_diagram(
-        float(values["n"]), float(values["s"]), float(values["gamma_min"]),
-        float(values["gamma_max"]), int(values["gamma_steps"]),
-        float(values["p_min"]), float(values["p_max"]),
-        int(values["p_steps"]), values["out"])
-    _emit({"run_dir": str(run_dir), **report})
-    return 0
+def _scalar(kind: type, value):
+    # float, int and Path reject lists, objects and null themselves
+    if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+        raise TypeError(value)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
 
 
-def _cmd_testfn(args) -> int:
-    values = _merged(args, {"run": _REQUIRED, "R": _REQUIRED, "out": None})
-    radii = _float_list(str(values["R"]))
-    run_dir, report = experiments.experiment_testfn(values["run"], radii,
-                                                    values["out"])
-    _emit({"run_dir": str(run_dir), **report})
-    return 0
+def _read_config(path: str, command: str, names) -> dict:
+    try:
+        stored = json.loads(Path(path).read_text())
+    except OSError as error:
+        raise CritexError(f"--config {path}: {error.strerror}") from None
+    except ValueError as error:
+        raise CritexError(f"--config {path}: not JSON: {error}") from None
+    if not isinstance(stored, dict):
+        raise CritexError(f"--config {path}: expected a JSON object")
+    kind = stored.pop("kind", command)
+    if kind != command:
+        raise CritexError(f"--config {path}: kind {kind!r} is not {command!r}")
+    unknown = sorted(set(stored) - set(names))
+    if unknown:
+        raise CritexError(f"--config {path}: unknown keys {', '.join(unknown)}")
+    return stored
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat JSON file mirroring the flags")
-    sub.add_argument("--out", help="output root (default CRITEX_OUT or ./runs)")
+def resolve(args: argparse.Namespace) -> tuple[typing.Callable, dict]:
+    """The command's function and its arguments: each parameter from its
+    flag, else from the ``--config`` file, else from its default."""
+    fn = COMMANDS[args.command]
+    parameters = _parameters(fn)
+    stored = _read_config(args.config, args.command, parameters) \
+        if args.config else {}
+    values, missing = {}, []
+    for name, (hint, default) in parameters.items():
+        value = getattr(args, name)
+        if value is None:
+            value = stored.get(name)
+        if value is not None:
+            values[name] = _coerce(name, value, hint)
+        elif default is not _REQUIRED:
+            values[name] = default
+        else:
+            missing.append(_flag(name))
+    if missing:
+        raise CritexError("missing required options: " + ", ".join(missing))
+    # called through its module, so a wrapper installed there (a tracer or a
+    # test double) also sees CLI calls
+    return getattr(sys.modules[fn.__module__], fn.__name__), values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,89 +181,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "and diffusion measurements, nonlinear evolution, lifespan "
                     "sweeps, and phase diagrams.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("exponents", help="thresholds and regime verdict")
-    sub.add_argument("--n", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--config")
-    sub.set_defaults(handler=_cmd_exponents)
-
-    sub = subs.add_parser("linear-decay", help="radial decay-rate suite")
-    for flag in ("--n", "--gamma", "--s", "--t0", "--t1"):
-        sub.add_argument(flag, type=float)
-    sub.add_argument("--profile", help="powerlaw:a=0.25 or gaussian:w=1.0")
-    sub.add_argument("--points", type=int)
-    sub.add_argument("--seed", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_linear_decay)
-
-    sub = subs.add_parser("diffusion", help="damped/heat/difference rate suite")
-    for flag in ("--n", "--gamma", "--s", "--t0", "--t1"):
-        sub.add_argument(flag, type=float)
-    sub.add_argument("--profile")
-    sub.add_argument("--points", type=int)
-    sub.add_argument("--seed", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_diffusion)
-
-    sub = subs.add_parser("evolve", help="nonlinear evolution on a periodic grid")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--N", type=int)
-    for flag in ("--L", "--p", "--eps", "--gamma", "--s", "--dt", "--tend",
-                 "--theta"):
-        sub.add_argument(flag, type=float)
-    sub.add_argument("--snapshots", type=int,
-                     help="store this many physical snapshots for testfn")
-    sub.add_argument("--seed", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_evolve)
-
-    sub = subs.add_parser("lifespan", help="blow-up time sweep over eps")
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--N", type=int)
-    for flag in ("--L", "--gamma", "--s", "--p", "--eps-start", "--eps-factor",
-                 "--dt", "--tend", "--theta"):
-        sub.add_argument(flag, type=float)
-    sub.add_argument("--count", type=int)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--seed", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_lifespan)
-
-    sub = subs.add_parser("phase-diagram", help="regime map over (gamma, p)")
-    for flag in ("--n", "--s", "--gamma-min", "--gamma-max", "--p-min",
-                 "--p-max"):
-        sub.add_argument(flag, type=float)
-    sub.add_argument("--gamma-steps", type=int)
-    sub.add_argument("--p-steps", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_phase_diagram)
-
-    sub = subs.add_parser("testfn", help="cutoff functional on a stored run")
-    sub.add_argument("--run", help="evolve run directory with snapshots")
-    sub.add_argument("--R", help="comma-separated scaling radii")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_testfn)
-
-    sub = subs.add_parser("probe", help="propagator entries at (t, r)")
-    sub.add_argument("--t", help="time, or comma-separated times")
-    sub.add_argument("--r", help="radial frequency, or comma-separated list")
-    sub.add_argument("--config")
-    sub.set_defaults(handler=_cmd_probe)
-
+    for command, fn in COMMANDS.items():
+        sub = subs.add_parser(command, help=fn.__doc__.splitlines()[0],
+                              allow_abbrev=False)
+        for name, (hint, default) in _parameters(fn).items():
+            kind = inspect.formatannotation(hint)
+            text = "required" if default is _REQUIRED else f"default {default!r}"
+            sub.add_argument(_flag(name), help=f"{kind}, {text}")
+        sub.add_argument("--config", help="flat JSON file of parameter values")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        fn, values = resolve(args)
+        result = fn(**values)
     except CritexError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if isinstance(result, str):
+        sys.stdout.write(result)
+        return 0
+    if isinstance(result, tuple):
+        run_dir = result[0]
+        result = {"run_dir": str(run_dir),
+                  **json.loads((run_dir / "report.json").read_text())}
+    json.dump(result, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 the scaled-cutoff blow-up functional, and phase diagrams.
 
 Each experiment writes an append-only run directory
-``<out>/<timestamp>-<kind>/`` containing ``config.json`` (the exact merged
-configuration), the data files (``curves.csv`` / ``sweep.csv`` /
-``regions.csv`` / ``snapshots.npz``), and ``report.json``.  Identical
-configurations produce bit-identical CSV and report files on a fixed
-platform; wall-clock timing lives only in ``meta.json``.
+``<out>/<timestamp>-<kind>/`` containing ``config.json`` (the experiment's
+parameters except ``out``, plus ``kind``, with a default grid resolved to
+its ``N`` and ``L``), the data files (``curves.csv`` / ``sweep.csv`` /
+``regions.csv`` / ``snapshots.npz``), and ``report.json``.  The report is
+written last and atomically, so a run directory without one is incomplete.
+Identical configurations produce bit-identical CSV and report files on a
+fixed platform; wall-clock timing lives only in ``meta.json``.
 
 The output root is the first of: explicit argument, the ``CRITEX_OUT``
 environment variable, ``./runs``.
@@ -37,23 +39,21 @@ from .solver import (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW, SolverConfig,
                      run)
 
 EXPERIMENT_KINDS = ("linear-decay", "diffusion", "evolve", "lifespan",
-                    "phase-diagram", "testfn", "exponents", "probe")
+                    "phase-diagram", "testfn")
 
 
 # ---------------------------------------------------------------------------
 # run-directory plumbing
 # ---------------------------------------------------------------------------
 
-def output_root(explicit: str | None = None) -> Path:
-    if explicit:
-        return Path(explicit)
-    return Path(os.environ.get("CRITEX_OUT", "runs"))
-
-
-def new_run_dir(kind: str, out: str | None = None) -> Path:
+def _open_run(kind: str, params: dict) -> Path:
+    """Create ``<out>/<timestamp>-<kind>/`` (``-2``, ``-3``, ... appended on
+    a clash) and echo ``params`` minus ``out``, plus ``kind``, into its
+    ``config.json``."""
     if kind not in EXPERIMENT_KINDS:
         raise DomainError(f"unknown experiment kind {kind!r}")
-    root = output_root(out)
+    config = {"kind": kind, **params}
+    root = Path(config.pop("out") or os.environ.get("CRITEX_OUT", "runs"))
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
     base = root / f"{stamp}-{kind}"
     path = base
@@ -62,13 +62,18 @@ def new_run_dir(kind: str, out: str | None = None) -> Path:
         counter += 1
         path = Path(f"{base}-{counter}")
     path.mkdir(parents=True)
+    write_json(path / "config.json", config)
     return path
 
 
 def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as handle:
+    """Write through a temporary file renamed into place, so ``path`` is
+    either absent or complete."""
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    os.replace(partial, path)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -114,9 +119,8 @@ def _zero_profile(template: radial.RadialProfile) -> radial.RadialProfile:
     return template.with_values(np.zeros_like(template.values))
 
 
-def _clip_window(t0: float, t1: float,
-                 window: tuple[float, float] = DEFAULT_FIT_WINDOW) -> tuple[float, float]:
-    return max(window[0], t0), min(window[1], t1)
+def _clip_window(t0: float, t1: float) -> tuple[float, float]:
+    return max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +139,7 @@ class SuiteFit:
 
 
 def run_decay_suite(n: float, gamma: float, s: float, profile: str,
-                    t0: float = 1.0, t1: float = 1e5, points: int = 96,
-                    window: tuple[float, float] | None = None):
+                    t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped-wave decay fits at orders 0 and s against the predictions
     -gamma/2 and -(s+gamma)/2.  Returns ({order: SuiteFit}, {order: curve})."""
     if gamma <= 0 or gamma >= n / 2.0:
@@ -144,7 +147,7 @@ def run_decay_suite(n: float, gamma: float, s: float, profile: str,
     v0 = build_profile(profile, n)
     v1 = _zero_profile(v0)
     times = np.geomspace(t0, t1, points)
-    window = window or _clip_window(t0, t1)
+    window = _clip_window(t0, t1)
     fits: dict[float, SuiteFit] = {}
     curves: dict[float, DecayCurve] = {}
     for order, predicted in ((0.0, -gamma / 2.0), (s, -(s + gamma) / 2.0)):
@@ -155,8 +158,7 @@ def run_decay_suite(n: float, gamma: float, s: float, profile: str,
 
 
 def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
-                        t0: float = 1.0, t1: float = 1e5, points: int = 96,
-                        window: tuple[float, float] | None = None):
+                        t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped / heat / difference fits plus the parabolic gain
     slope(difference) - slope(damped), expected near -1."""
     if gamma <= 0 or gamma >= n / 2.0:
@@ -164,7 +166,7 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
     v0 = build_profile(profile, n)
     v1 = _zero_profile(v0)
     times = np.geomspace(t0, t1, points)
-    window = window or _clip_window(t0, t1)
+    window = _clip_window(t0, t1)
     curves = {
         "damped": radial.evolve_damped(v0, v1, times, s, gamma),
         "heat": radial.evolve_heat(v0, v1, times, s, gamma),
@@ -310,14 +312,10 @@ class TestFunctionSpec:
     n: int
     gamma: float
     p: float
-    plateau_end: float = 0.5
-    support_end: float = 1.0
 
     def __post_init__(self):
         if self.R < 1:
             raise DomainError(f"scaling radius must satisfy R >= 1, got {self.R}")
-        if not (0 < self.plateau_end < self.support_end):
-            raise DomainError("cutoff must satisfy 0 < plateau_end < support_end")
 
 
 def time_cutoff(u: np.ndarray | float) -> np.ndarray | float:
@@ -431,15 +429,15 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 # experiment entry points (run-directory producers)
 # ---------------------------------------------------------------------------
+# Each signature is the experiment's only description: the CLI derives its
+# flags, defaults and --config keys from it, and each passes ``locals()``,
+# taken before any other local is bound, to ``_open_run``.
 
 def experiment_linear_decay(n: float, gamma: float, s: float, profile: str,
-                            t0: float, t1: float, points: int = 96,
-                            out: str | None = None, seed: int = 0) -> tuple[Path, dict]:
-    run_dir = new_run_dir("linear-decay", out)
-    config = {"kind": "linear-decay", "n": n, "gamma": gamma, "s": s,
-              "profile": profile, "t0": t0, "t1": t1, "points": points,
-              "seed": seed}
-    write_json(run_dir / "config.json", config)
+                            t0: float = 1.0, t1: float = 1e5, points: int = 96,
+                            out: str | None = None) -> tuple[Path, dict]:
+    """Radial decay-rate suite: fitted rates at orders 0 and s."""
+    run_dir = _open_run("linear-decay", locals())
     fits, curves = run_decay_suite(n, gamma, s, profile, t0, t1, points)
     write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
               (row for curve in curves.values() for row in curve.csv_rows()))
@@ -449,13 +447,10 @@ def experiment_linear_decay(n: float, gamma: float, s: float, profile: str,
 
 
 def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
-                         t0: float, t1: float, points: int = 96,
-                         out: str | None = None, seed: int = 0) -> tuple[Path, dict]:
-    run_dir = new_run_dir("diffusion", out)
-    config = {"kind": "diffusion", "n": n, "gamma": gamma, "s": s,
-              "profile": profile, "t0": t0, "t1": t1, "points": points,
-              "seed": seed}
-    write_json(run_dir / "config.json", config)
+                         t0: float = 1.0, t1: float = 1e5, points: int = 96,
+                         out: str | None = None) -> tuple[Path, dict]:
+    """Damped/heat/difference rate suite and the parabolic gain."""
+    run_dir = _open_run("diffusion", locals())
     fits, curves, gain = run_diffusion_suite(n, gamma, s, profile, t0, t1, points)
     write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
               (row for curve in curves.values() for row in curve.csv_rows()))
@@ -466,16 +461,19 @@ def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
 
 
 def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
-                      eps: float, gamma: float, s: float, dt: float,
-                      tend: float, snapshots: int = 0, theta: float = 1e8,
-                      out: str | None = None, seed: int = 0) -> tuple[Path, dict]:
-    grid = _grid_for(dim, N, L)
-    run_dir = new_run_dir("evolve", out)
-    config = {"kind": "evolve", "dim": dim, "N": grid.points, "L": grid.length,
-              "p": p, "eps": eps, "gamma": gamma, "s": s, "dt": dt,
-              "tend": tend, "snapshots": snapshots, "theta": theta, "seed": seed}
-    write_json(run_dir / "config.json", config)
+                      eps: float, gamma: float, s: float = 1.0,
+                      dt: float = 0.02, tend: float = 100.0,
+                      snapshots: int = 0, theta: float = 1e8,
+                      out: str | None = None) -> tuple[Path, dict]:
+    """Nonlinear evolution on a periodic grid.
 
+    ``N`` and ``L`` default to the grid of ``dim``; ``snapshots`` > 0 stores
+    that many physical fields for testfn.  Returns the run directory and
+    the payload of ``meta.json``.
+    """
+    N, L = _grid_size(dim, N, L)
+    run_dir = _open_run("evolve", locals())
+    grid = GridSpec(dim=dim, length=L, points=N)
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=gamma)
     solver_config = SolverConfig(p=p, eps=eps, dt=dt, t_end=tend, theta=theta)
 
@@ -489,17 +487,14 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
               result.history_rows())
     report = {"status": result.status, "blow_up_time": result.blow_up_time,
               "weighted_sup": result.weighted_sup}
-    write_json(run_dir / "report.json", report)
-    meta = {"config": config, "grid": {"dim": grid.dim, "N": grid.points,
-                                       "L": grid.length},
-            "status": result.status, "blow_up_time": result.blow_up_time,
-            "weighted_sup": result.weighted_sup, "wall_time_s": wall}
+    meta = {**report, "wall_time_s": wall}
     write_json(run_dir / "meta.json", meta)
     if collector is not None:
         np.savez_compressed(run_dir / "snapshots.npz",
                             times=np.asarray(collector.times),
                             fields=np.asarray(collector.fields),
                             u0=data, u1=data)
+    write_json(run_dir / "report.json", report)
     return run_dir, meta
 
 
@@ -520,7 +515,8 @@ class _SnapshotCollector:
                 self.next += 1
 
 
-def _grid_for(dim: int, N: int | None, L: float | None) -> GridSpec:
+def _grid_size(dim: int, N: int | None, L: float | None) -> tuple[int, float]:
+    """``(N, L)`` with a missing value taken from the default grid of ``dim``."""
     if N is None or L is None:
         default = solver.DEFAULT_GRIDS.get(dim)
         if default is None:
@@ -528,27 +524,28 @@ def _grid_for(dim: int, N: int | None, L: float | None) -> GridSpec:
                 f"no default grid for dim = {dim}; pass N and L explicitly")
         N = N if N is not None else default.points
         L = L if L is not None else default.length
-    return GridSpec(dim=dim, length=float(L), points=int(N))
+    return int(N), float(L)
 
 
 def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
-                        eps_start: float, eps_factor: float, count: int,
-                        N: int | None = None, L: float | None = None,
-                        dt: float = 0.02, tend: float = 2000.0,
-                        theta: float = 1e8, workers: int = 1,
-                        out: str | None = None, seed: int = 0) -> tuple[Path, dict]:
-    grid = _grid_for(dim, N, L)
-    run_dir = new_run_dir("lifespan", out)
-    config = {"kind": "lifespan", "dim": dim, "N": grid.points, "L": grid.length,
-              "gamma": gamma, "s": s, "p": p, "eps_start": eps_start,
-              "eps_factor": eps_factor, "count": count, "dt": dt, "tend": tend,
-              "theta": theta, "workers": workers, "seed": seed}
-    write_json(run_dir / "config.json", config)
+                        eps_start: float, eps_factor: float = 10 ** (-1 / 7),
+                        count: int = 8, N: int | None = None,
+                        L: float | None = None, dt: float = 0.02,
+                        tend: float = 2000.0, theta: float = 1e8,
+                        workers: int = 1,
+                        out: str | None = None) -> tuple[Path, dict]:
+    """Blow-up time sweep over eps and its fitted power law.
 
+    The schedule is eps_start * eps_factor**i for i < count; the defaults
+    give 8 points spanning one decade.
+    """
+    N, L = _grid_size(dim, N, L)
+    run_dir = _open_run("lifespan", locals())
     schedule = [eps_start * eps_factor ** i for i in range(count)]
     params = RegimeParams(n=float(dim), gamma=gamma, s=s, p=p)
-    sweep = run_lifespan_sweep(params, schedule, grid, dt=dt, t_end=tend,
-                               theta=theta, workers=workers)
+    sweep = run_lifespan_sweep(params, schedule,
+                               GridSpec(dim=dim, length=L, points=N), dt=dt,
+                               t_end=tend, theta=theta, workers=workers)
     write_csv(run_dir / "sweep.csv", ["eps", "T", "status"],
               ((r.eps, r.lifespan, r.status) for r in sweep.rows))
     report = sweep.to_json()
@@ -560,11 +557,8 @@ def experiment_phase_diagram(n: float, s: float, gamma_min: float,
                              gamma_max: float, gamma_steps: int, p_min: float,
                              p_max: float, p_steps: int,
                              out: str | None = None) -> tuple[Path, dict]:
-    run_dir = new_run_dir("phase-diagram", out)
-    config = {"kind": "phase-diagram", "n": n, "s": s, "gamma_min": gamma_min,
-              "gamma_max": gamma_max, "gamma_steps": gamma_steps,
-              "p_min": p_min, "p_max": p_max, "p_steps": p_steps}
-    write_json(run_dir / "config.json", config)
+    """Regime map over a (gamma, p) grid."""
+    run_dir = _open_run("phase-diagram", locals())
     rows = emit_phase_diagram(n, s, np.linspace(gamma_min, gamma_max, gamma_steps),
                               np.linspace(p_min, p_max, p_steps))
     write_csv(run_dir / "regions.csv",
@@ -579,17 +573,16 @@ def experiment_phase_diagram(n: float, s: float, gamma_min: float,
     return run_dir, report
 
 
-def experiment_testfn(source_run: str | Path, radii: list[float],
+def experiment_testfn(run: Path, R: list[float],
                       out: str | None = None) -> tuple[Path, dict]:
-    source_run = Path(source_run)
-    source_config = json.loads((source_run / "config.json").read_text())
+    """Cutoff functional at the scaling radii ``R`` on a stored evolve run."""
+    params = {**locals(), "run": str(run), "R": list(R)}
+    source_config = json.loads((Path(run) / "config.json").read_text())
     specs = [TestFunctionSpec(R=float(r), n=int(source_config["dim"]),
                               gamma=float(source_config["gamma"]),
                               p=float(source_config["p"]))
-             for r in radii]
-    report = evaluate_testfn_functional(source_run, specs)
-    run_dir = new_run_dir("testfn", out)
-    write_json(run_dir / "config.json",
-               {"kind": "testfn", "run": str(source_run), "R": list(radii)})
+             for r in R]
+    report = evaluate_testfn_functional(run, specs)
+    run_dir = _open_run("testfn", params)
     write_json(run_dir / "report.json", report)
     return run_dir, report

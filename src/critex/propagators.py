@@ -28,7 +28,6 @@ only through factors that underflow gracefully to zero.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,14 +50,6 @@ _UNDERFLOW_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Characteristic roots of y'' + y' + r^2 y = 0."""
-
-    lambda1: complex
-    lambda2: complex
-
-
-@dataclass(frozen=True)
 class PropagatorMatrix:
     """Fundamental-matrix entries at fixed (t, r); identity at t = 0.
 
@@ -73,14 +64,6 @@ class PropagatorMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.k00, self.k01], [self.k10, self.k11]])
-
-
-def eigenvalues(r: float) -> EigenPair:
-    """Roots (-1 +- sqrt(1 - 4 r^2))/2, ordered with + first."""
-    if r < 0:
-        raise DomainError(f"radial frequency must be nonnegative, got {r}")
-    root = cmath.sqrt(1.0 - 4.0 * r * r)
-    return EigenPair((-1.0 + root) / 2.0, (-1.0 - root) / 2.0)
 
 
 def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -1,9 +1,17 @@
+import inspect
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from critex.cli import main
+from critex.cli import COMMANDS, build_parser, main, resolve
+
+
+def parameter_names(fn) -> set[str]:
+    return set(inspect.signature(fn).parameters)
 
 
 def run_cli(capsys, *argv):
@@ -145,3 +153,193 @@ class TestRunCommands:
         code, _, err = run_cli(capsys, "exponents", "--n", "2", "--gamma", "-1")
         assert code == 2
         assert "error" in err
+
+
+class TestConfigInput:
+    """Bad --config files and list values fail with one error line, exit 2."""
+
+    def run_config(self, capsys, tmp_path, text, *argv):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        return run_cli(capsys, *argv, "--config", str(path))
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "exponents", "--config",
+                                 str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --config") and "absent.json" in err
+
+    def test_malformed_json(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, '{"n": 1,',
+                                       "exponents")
+        assert code == 2
+        assert err.startswith("error: --config") and "not JSON" in err
+
+    def test_not_an_object(self, capsys, tmp_path):
+        code, _, err = self.run_config(capsys, tmp_path, "[1, 2]", "exponents")
+        assert code == 2
+        assert "expected a JSON object" in err
+
+    def test_unknown_key(self, capsys, tmp_path):
+        code, out, err = self.run_config(
+            capsys, tmp_path, '{"n": 1, "gamma": 0.3, "pp": 3}', "exponents")
+        assert (code, out) == (2, "")
+        assert "unknown keys pp" in err
+
+    def test_value_of_wrong_type(self, capsys, tmp_path):
+        code, _, err = self.run_config(
+            capsys, tmp_path, '{"n": 1, "gamma": "low"}', "exponents")
+        assert code == 2
+        assert "--gamma: cannot read 'low' as float" in err
+        code, _, err = self.run_config(
+            capsys, tmp_path, '{"t": [1.0, "x"], "r": [0.0]}', "probe")
+        assert code == 2
+        assert "--t: cannot read" in err
+        code, _, err = self.run_config(
+            capsys, tmp_path, '{"t": [true], "r": [0.0]}', "probe")
+        assert code == 2
+        assert "--t: cannot read" in err
+        code, _, err = self.run_config(
+            capsys, tmp_path, '{"n": 1, "s": 1, "gamma_min": 0.1, "gamma_max": '
+            '0.4, "gamma_steps": 2.5, "p_min": 1.5, "p_max": 4, "p_steps": 2}',
+            "phase-diagram")
+        assert code == 2
+        assert "--gamma-steps: cannot read 2.5 as int" in err
+
+    def test_kind_must_name_the_command(self, capsys, tmp_path):
+        code, _, err = self.run_config(
+            capsys, tmp_path, '{"kind": "evolve", "n": 1, "gamma": 0.3}',
+            "exponents")
+        assert code == 2
+        assert "kind 'evolve' is not 'exponents'" in err
+        code, out, _ = self.run_config(
+            capsys, tmp_path, '{"kind": "exponents", "n": 1, "gamma": 0.3}',
+            "exponents")
+        assert code == 0
+        assert json.loads(out)["params"] == {"n": 1.0, "gamma": 0.3}
+
+    def test_null_means_default(self, capsys, tmp_path):
+        code, out, _ = self.run_config(
+            capsys, tmp_path, '{"n": 1, "gamma": 0.3, "p": null, "s": null}',
+            "exponents")
+        assert code == 0
+        assert "verdict" not in json.loads(out)
+        code, _, err = self.run_config(
+            capsys, tmp_path, '{"n": null, "gamma": 0.3}', "exponents")
+        assert code == 2
+        assert "missing required options: --n" in err
+
+    def test_bad_list_flag(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "--t", "1,x", "--r", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --t: cannot read '1,x' as list[float]\n"
+
+    def test_lists_from_config(self, capsys, tmp_path):
+        _, from_file, _ = self.run_config(
+            capsys, tmp_path, '{"t": [0.5, 1], "r": [0.0, 2.0]}', "probe")
+        _, from_flags, _ = run_cli(capsys, "probe", "--t", "0.5,1",
+                                   "--r", "0,2")
+        assert from_file == from_flags
+
+
+class TestSignatureIsTheDescription:
+    def test_flags_are_the_parameters(self):
+        parser = build_parser()
+        subs = next(a for a in parser._actions if a.dest == "command").choices
+        for command, fn in COMMANDS.items():
+            flags = {option for action in subs[command]._actions
+                     for option in action.option_strings} - {"-h", "--help"}
+            assert flags == {"--" + name.replace("_", "-")
+                             for name in parameter_names(fn)} | {"--config"}
+
+    @pytest.mark.parametrize("extra", [["--seed", "0"], ["--snap", "4"]])
+    def test_no_other_flags(self, extra):
+        # --seed is gone, and an abbreviation is not another spelling
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["evolve", "--dim", "1", "--p", "2",
+                                       "--eps", "0.1", "--gamma", "0.5", *extra])
+
+    def test_library_defaults_reach_the_cli(self):
+        args = build_parser().parse_args(["evolve", "--dim", "1", "--p", "2",
+                                          "--eps", "0.1", "--gamma", "0.5"])
+        _, values = resolve(args)
+        assert values == {"dim": 1, "N": None, "L": None, "p": 2.0,
+                          "eps": 0.1, "gamma": 0.5, "s": 1.0, "dt": 0.02,
+                          "tend": 100.0, "snapshots": 0, "theta": 1e8,
+                          "out": None}
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+        examples = [shlex.split(line)[1:]
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("critex ")]
+        assert {argv[0] for argv in examples} == set(COMMANDS)
+        for argv in examples:
+            _, values = resolve(build_parser().parse_args(argv))
+            assert set(values) == parameter_names(COMMANDS[argv[0]])
+
+
+RUNS = {
+    "phase-diagram": ["--n", "1", "--s", "1", "--gamma-min", "0.1",
+                      "--gamma-max", "0.4", "--gamma-steps", "3",
+                      "--p-min", "1.5", "--p-max", "4.5", "--p-steps", "4"],
+    "linear-decay": ["--n", "2", "--gamma", "0.7", "--s", "1", "--profile",
+                     "powerlaw:a=0.25", "--t0", "10", "--t1", "1e3",
+                     "--points", "16"],
+    "diffusion": ["--n", "2", "--gamma", "0.7", "--s", "0.5", "--profile",
+                  "powerlaw:a=0.25", "--t0", "10", "--t1", "1e3",
+                  "--points", "16"],
+    "evolve": ["--dim", "1", "--N", "256", "--p", "2", "--eps", "0.05",
+               "--gamma", "0.5", "--dt", "0.05", "--tend", "2",
+               "--snapshots", "4"],
+    "lifespan": ["--dim", "1", "--gamma", "0.5", "--s", "1", "--p", "2",
+                 "--eps-start", "4.0", "--eps-factor", "0.7197", "--count",
+                 "4", "--N", "2048", "--L", "314.159", "--dt", "0.05",
+                 "--tend", "200"],
+}
+
+
+class TestConfigEchoRoundTrip:
+    """A run's config.json re-runs it: same CSV and report.json bytes."""
+
+    def run(self, capsys, tmp_path, command, *argv):
+        code, out, err = run_cli(capsys, command, *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        payload = json.loads(out)
+        run_dir = Path(payload.pop("run_dir"))
+        assert payload == json.loads((run_dir / "report.json").read_text())
+        return run_dir
+
+    def check(self, capsys, tmp_path, command, *argv):
+        first = self.run(capsys, tmp_path, command, *argv)
+        config = json.loads((first / "config.json").read_text())
+        assert set(config) == parameter_names(COMMANDS[command]) - {"out"} | {"kind"}
+        second = self.run(capsys, tmp_path, command, "--config",
+                          str(first / "config.json"))
+        files = sorted(p.name for p in first.iterdir()
+                       if p.suffix == ".csv" or p.name == "report.json")
+        assert "report.json" in files
+        assert files == sorted(p.name for p in second.iterdir()
+                               if p.suffix == ".csv" or p.name == "report.json")
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        return first, config
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_run_kind(self, capsys, tmp_path, command):
+        self.check(capsys, tmp_path, command, *RUNS[command])
+
+    def test_testfn(self, capsys, tmp_path):
+        evolve_dir = self.run(capsys, tmp_path, "evolve", *RUNS["evolve"])
+        _, config = self.check(capsys, tmp_path, "testfn", "--run",
+                               str(evolve_dir), "--R", "1,1.2")
+        assert config == {"kind": "testfn", "run": str(evolve_dir),
+                          "R": [1.0, 1.2]}
+
+    def test_default_grid_is_resolved(self, capsys, tmp_path):
+        run_dir = self.run(capsys, tmp_path, "evolve", "--dim", "1", "--p",
+                           "2", "--eps", "0.05", "--gamma", "0.5", "--tend",
+                           "0.05", "--dt", "0.05")
+        config = json.loads((run_dir / "config.json").read_text())
+        assert (config["N"], config["L"]) == (16384, 800.0 * math.pi)

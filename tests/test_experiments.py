@@ -13,7 +13,8 @@ from critex.experiments import (build_profile,
                                 experiment_phase_diagram, experiment_testfn,
                                 exponent_gate, fit_sweep_slope, parse_profile,
                                 run_decay_suite, run_diffusion_suite,
-                                run_lifespan_sweep, space_weight, time_cutoff)
+                                run_lifespan_sweep, space_weight, time_cutoff,
+                                write_json)
 
 TINY_GRID = GridSpec(dim=1, length=100 * np.pi, points=2048)
 
@@ -232,9 +233,31 @@ class TestRunDirectories:
             (dir_b / "curves.csv").read_bytes()
         assert (dir_a / "config.json").read_bytes() == \
             (dir_b / "config.json").read_bytes()
+        assert (dir_a / "report.json").read_bytes() == \
+            (dir_b / "report.json").read_bytes()
         meta_a.pop("wall_time_s")
         meta_b.pop("wall_time_s")
         assert meta_a == meta_b
+
+    def test_crashed_run_has_no_report(self, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", crash)
+        with pytest.raises(OSError, match="disk full"):
+            experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0, eps=0.05,
+                              gamma=0.4, dt=0.05, tend=0.5, snapshots=4,
+                              out=str(tmp_path))
+        (run_dir,) = tmp_path.iterdir()
+        assert (run_dir / "config.json").exists()
+        assert not (run_dir / "report.json").exists()
+
+    def test_json_written_whole_or_not_at_all(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "report.json", {"value": object()})
+        assert not (tmp_path / "report.json").exists()
+        write_json(tmp_path / "report.json", {"value": 1.5})
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_lifespan_artifacts(self, tmp_path):
         run_dir, report = experiment_lifespan(

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from critex import (ContractError, DomainError, GridSpec, apply_linear,
-                    eigenvalues, heat_multiplier, kernel_entries,
-                    make_initial_data, pointwise_bound_check, propagator,
-                    transform_forward)
+                    heat_multiplier, kernel_entries, make_initial_data,
+                    pointwise_bound_check, propagator, transform_forward)
 
 TEST_RADII = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 60)))
 
@@ -26,28 +25,6 @@ def _naive_matrix(t, r):
     k10 = lam1 * lam2 * (e2 - e1) / (lam1 - lam2)
     k11 = (lam1 * e1 - lam2 * e2) / (lam1 - lam2)
     return np.array([[k00.real, k01.real], [k10.real, k11.real]])
-
-
-class TestEigenvalues:
-    def test_examples(self):
-        pair = eigenvalues(0.0)
-        assert pair.lambda1 == 0.0
-        assert pair.lambda2 == -1.0
-        double = eigenvalues(0.5)
-        assert double.lambda1 == double.lambda2 == -0.5
-        osc = eigenvalues(1.0)
-        assert osc.lambda1 == pytest.approx(-0.5 + 1j * math.sqrt(3) / 2, abs=1e-15)
-        assert osc.lambda2 == pytest.approx(-0.5 - 1j * math.sqrt(3) / 2, abs=1e-15)
-
-    def test_vieta(self):
-        for r in TEST_RADII:
-            pair = eigenvalues(float(r))
-            assert abs(pair.lambda1 + pair.lambda2 + 1.0) < 1e-12
-            assert abs(pair.lambda1 * pair.lambda2 - r * r) < 1e-12 * max(1.0, r * r)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            eigenvalues(-0.1)
 
 
 class TestPropagatorMatrix:
