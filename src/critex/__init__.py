@@ -18,7 +18,7 @@ from .fields import (GridSpec, NormOrder, SpectrumField, load_field,
                      make_initial_data, save_field, sobolev_norm,
                      transform_forward, transform_inverse)
 from .propagators import (PropagatorMatrix, apply_linear, heat_multiplier,
-                          kernel_entries, pointwise_bound_check, propagator)
+                          kernel_entries, pointwise_bound_check, propagate, propagator)
 from .radial import (DecayCurve, RadialProfile, RateFit, diffusion_difference,
                      evolve_damped, evolve_heat, fit_rate, gaussian_profile,
                      log_radial_grid, norm_radial, power_law_profile)

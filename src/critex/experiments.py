@@ -28,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import radial, solver
-from .errors import DomainError, InsufficientDataError
+from .errors import ContractError, DomainError, InsufficientDataError
 from .exponents import (Regime, RegimeParams, classify_regime, conjugate_exponent,
                         gamma_tilde, lifespan_exponent, p_crit,
                         sharp_lifespan_admissible)
 from .fields import GridSpec, _radius_squared, make_initial_data
-from .radial import (DEFAULT_FIT_WINDOW, DecayCurve, RateFit, fit_rate,
+from .radial import (DEFAULT_FIT_WINDOW, RateFit, fit_rate,
                      gaussian_profile, power_law_profile)
 from .solver import (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW, SolverConfig,
                      run)
@@ -100,27 +100,22 @@ def parse_profile(spec: str) -> tuple[str, dict]:
     if tail:
         for item in tail.split(","):
             key, _, value = item.partition("=")
-            if not value:
-                raise DomainError(f"malformed profile parameter {item!r} in {spec!r}")
-            params[key.strip()] = float(value)
+            try:
+                params[key.strip()] = float(value)
+            except ValueError:
+                raise DomainError(f"profile parameter {item!r} in {spec!r} is not "
+                                  "<key>=<number>") from None
     return kind.strip(), params
 
 
 def build_profile(spec: str, n: float) -> radial.RadialProfile:
+    """``powerlaw:a=<a>`` (v_hat = r^-a) or ``gaussian[:w=<w>]`` (w = 1 by default)."""
     kind, params = parse_profile(spec)
-    if kind == "powerlaw":
-        return power_law_profile(n, params.pop("a"))
-    if kind == "gaussian":
-        return gaussian_profile(n, params.pop("w", 1.0))
-    raise DomainError(f"unknown profile kind {kind!r}")
-
-
-def _zero_profile(template: radial.RadialProfile) -> radial.RadialProfile:
-    return template.with_values(np.zeros_like(template.values))
-
-
-def _clip_window(t0: float, t1: float) -> tuple[float, float]:
-    return max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
+    if kind == "powerlaw" and set(params) == {"a"}:
+        return power_law_profile(n, params["a"])
+    if kind == "gaussian" and set(params) <= {"w"}:
+        return gaussian_profile(n, params.get("w", 1.0))
+    raise DomainError(f"profile {spec!r} is neither powerlaw:a=<a> nor gaussian[:w=<w>]")
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +133,27 @@ class SuiteFit:
         return payload
 
 
+def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
+                  points: int):
+    """Data (v0, zero v1), sample times, and DEFAULT_FIT_WINDOW clipped to [t0, t1]."""
+    if gamma <= 0 or gamma >= n / 2.0:
+        raise DomainError(f"rate suites require gamma in (0, n/2), got {gamma}")
+    v0 = build_profile(profile, n)
+    window = max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
+    return (v0, v0.with_values(np.zeros_like(v0.values)),
+            np.geomspace(t0, t1, points), window)
+
+
 def run_decay_suite(n: float, gamma: float, s: float, profile: str,
                     t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped-wave decay fits at orders 0 and s against the predictions
     -gamma/2 and -(s+gamma)/2.  Returns ({order: SuiteFit}, {order: curve})."""
-    if gamma <= 0 or gamma >= n / 2.0:
-        raise DomainError(f"decay suite requires gamma in (0, n/2), got {gamma}")
-    v0 = build_profile(profile, n)
-    v1 = _zero_profile(v0)
-    times = np.geomspace(t0, t1, points)
-    window = _clip_window(t0, t1)
-    fits: dict[float, SuiteFit] = {}
-    curves: dict[float, DecayCurve] = {}
-    for order, predicted in ((0.0, -gamma / 2.0), (s, -(s + gamma) / 2.0)):
-        curve = radial.evolve_damped(v0, v1, times, order, gamma)
-        fits[order] = SuiteFit(fit_rate(curve, window), predicted)
-        curves[order] = curve
+    v0, v1, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
+    predicted = {0.0: -gamma / 2.0, s: -(s + gamma) / 2.0}
+    curves = {order: radial.evolve_damped(v0, v1, times, order, gamma)
+              for order in predicted}
+    fits = {order: SuiteFit(fit_rate(curve, window), predicted[order])
+            for order, curve in curves.items()}
     return fits, curves
 
 
@@ -161,12 +161,7 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
                         t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped / heat / difference fits plus the parabolic gain
     slope(difference) - slope(damped), expected near -1."""
-    if gamma <= 0 or gamma >= n / 2.0:
-        raise DomainError(f"diffusion suite requires gamma in (0, n/2), got {gamma}")
-    v0 = build_profile(profile, n)
-    v1 = _zero_profile(v0)
-    times = np.geomspace(t0, t1, points)
-    window = _clip_window(t0, t1)
+    v0, v1, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
     curves = {
         "damped": radial.evolve_damped(v0, v1, times, s, gamma),
         "heat": radial.evolve_heat(v0, v1, times, s, gamma),
@@ -343,6 +338,17 @@ def exponent_gate(n: float, gamma: float, p: float) -> dict:
             "p_crit": p_crit(n, gamma)}
 
 
+def _evolve_config(run_dir: Path) -> dict:
+    """``config.json`` of an evolve run that stored snapshots."""
+    path = run_dir / "config.json"
+    config = json.loads(path.read_text()) if path.is_file() else {}
+    if config.get("kind") != "evolve":
+        raise ContractError(f"{str(run_dir)!r} is not an evolve run directory")
+    if not (run_dir / "snapshots.npz").is_file():
+        raise ContractError(f"evolve run {str(run_dir)!r} stored no snapshots")
+    return config
+
+
 def evaluate_testfn_functional(run_dir: str | Path,
                                specs: list[TestFunctionSpec]) -> dict:
     """Evaluate the cutoff functional on a stored trajectory.
@@ -354,7 +360,7 @@ def evaluate_testfn_functional(run_dir: str | Path,
     the first R; reports the contradiction window D_R > B_R per R.
     """
     run_dir = Path(run_dir)
-    config = json.loads((run_dir / "config.json").read_text())
+    config = _evolve_config(run_dir)
     archive = np.load(run_dir / "snapshots.npz")
     snapshot_times = archive["times"]
     fields = archive["fields"]
@@ -431,14 +437,16 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Each signature is the experiment's only description: the CLI derives its
 # flags, defaults and --config keys from it, and each passes ``locals()``,
-# taken before any other local is bound, to ``_open_run``.
+# taken before any other local is bound, to ``_open_run``.  The rate suites
+# open theirs after computing, so bad input leaves no run directory.
 
 def experiment_linear_decay(n: float, gamma: float, s: float, profile: str,
                             t0: float = 1.0, t1: float = 1e5, points: int = 96,
                             out: str | None = None) -> tuple[Path, dict]:
     """Radial decay-rate suite: fitted rates at orders 0 and s."""
-    run_dir = _open_run("linear-decay", locals())
+    params = dict(locals())
     fits, curves = run_decay_suite(n, gamma, s, profile, t0, t1, points)
+    run_dir = _open_run("linear-decay", params)
     write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
               (row for curve in curves.values() for row in curve.csv_rows()))
     report = {"fits": {str(order): sf.to_json() for order, sf in fits.items()}}
@@ -450,8 +458,9 @@ def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
                          t0: float = 1.0, t1: float = 1e5, points: int = 96,
                          out: str | None = None) -> tuple[Path, dict]:
     """Damped/heat/difference rate suite and the parabolic gain."""
-    run_dir = _open_run("diffusion", locals())
+    params = dict(locals())
     fits, curves, gain = run_diffusion_suite(n, gamma, s, profile, t0, t1, points)
+    run_dir = _open_run("diffusion", params)
     write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
               (row for curve in curves.values() for row in curve.csv_rows()))
     report = {"fits": {kind: sf.to_json() for kind, sf in fits.items()},
@@ -577,7 +586,7 @@ def experiment_testfn(run: Path, R: list[float],
                       out: str | None = None) -> tuple[Path, dict]:
     """Cutoff functional at the scaling radii ``R`` on a stored evolve run."""
     params = {**locals(), "run": str(run), "R": list(R)}
-    source_config = json.loads((Path(run) / "config.json").read_text())
+    source_config = _evolve_config(Path(run))
     specs = [TestFunctionSpec(R=float(r), n=int(source_config["dim"]),
                               gamma=float(source_config["gamma"]),
                               p=float(source_config["p"]))

@@ -141,7 +141,20 @@ def heat_multiplier(t: float, r: np.ndarray | float):
     """Heat semigroup multiplier exp(-r^2 t)."""
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
-    return np.exp(-np.asarray(r, dtype=float) ** 2 * t) if np.ndim(r) else math.exp(-r * r * t)
+    return np.exp(-np.asarray(r, dtype=float) ** 2 * t)
+
+
+def propagate(kind: str, t: float, r: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Flow ``kind`` of spectral data (a, b) at scalar time t and frequencies r:
+    "damped" k00 a + k01 b, "heat" e^{-r^2 t} (a + b), "difference" damped - heat."""
+    if kind not in ("damped", "heat", "difference"):
+        raise DomainError(f"unknown linear flow {kind!r}")
+    heat = heat_multiplier(t, r) * (a + b) if kind != "damped" else None
+    if kind == "heat":
+        return heat
+    k00, k01, _, _ = kernel_entries(t, r)
+    damped = k00 * a + k01 * b
+    return damped if kind == "damped" else damped - heat
 
 
 def apply_linear(state: tuple[SpectrumField, SpectrumField], t: float

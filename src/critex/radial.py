@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gamma as gamma_function
 
 from .errors import AccuracyError, ContractError, DomainError, InsufficientDataError
-from .propagators import heat_multiplier, kernel_entries
+from .propagators import propagate
 
 DEFAULT_R_MIN = 1e-6
 DEFAULT_R_MAX = 1e3
@@ -164,60 +164,39 @@ def norm_radial(profile: RadialProfile, s: float) -> float:
 # evolutions
 # ---------------------------------------------------------------------------
 
-def _check_pair(v0: RadialProfile, v1: RadialProfile) -> None:
+def _curve(kind: str, v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
+           s: float, gamma: float) -> DecayCurve:
+    """Order-s norm history of the linear flow ``kind`` of the pair (v0, v1)."""
     if v0.dim != v1.dim or v0.r.shape != v1.r.shape or not np.array_equal(v0.r, v1.r):
         raise ContractError("profiles must share dimension and radial grid")
-
-
-def _check_initial_norms(v0: RadialProfile, v1: RadialProfile,
-                         s: float, gamma: float) -> None:
     # bad data (divergent at either grid end) should fail fast, not mid-curve
     for profile in (v0, v1):
         norm_radial(profile, s)
         norm_radial(profile, -gamma)
+    times = np.asarray(times, dtype=float)
+    norms = np.empty_like(times)
+    for i, t in enumerate(times):
+        flow = propagate(kind, float(t), v0.r, v0.values, v1.values)
+        norms[i] = norm_radial(v0.with_values(flow), s)
+    return DecayCurve(times, norms, s, gamma, kind=kind)
 
 
 def evolve_damped(v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
                   s: float, gamma: float) -> DecayCurve:
     """Damped-wave norm history: v_hat(t) = k00(t, r) v0 + k01(t, r) v1."""
-    _check_pair(v0, v1)
-    _check_initial_norms(v0, v1, s, gamma)
-    times = np.asarray(times, dtype=float)
-    norms = np.empty_like(times)
-    for i, t in enumerate(times):
-        k00, k01, _, _ = kernel_entries(float(t), v0.r)
-        evolved = v0.with_values(k00 * v0.values + k01 * v1.values)
-        norms[i] = norm_radial(evolved, s)
-    return DecayCurve(times, norms, s, gamma, kind="damped")
+    return _curve("damped", v0, v1, times, s, gamma)
 
 
 def evolve_heat(v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
                 s: float, gamma: float) -> DecayCurve:
     """Heat-flow norm history with merged data: w_hat(t) = e^{-r^2 t}(v0 + v1)."""
-    _check_pair(v0, v1)
-    _check_initial_norms(v0, v1, s, gamma)
-    times = np.asarray(times, dtype=float)
-    merged = v0.values + v1.values
-    norms = np.empty_like(times)
-    for i, t in enumerate(times):
-        evolved = v0.with_values(heat_multiplier(float(t), v0.r) * merged)
-        norms[i] = norm_radial(evolved, s)
-    return DecayCurve(times, norms, s, gamma, kind="heat")
+    return _curve("heat", v0, v1, times, s, gamma)
 
 
 def diffusion_difference(v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
                          s: float, gamma: float) -> DecayCurve:
     """Norm history of the damped-wave/heat difference (the parabolic gain)."""
-    _check_pair(v0, v1)
-    _check_initial_norms(v0, v1, s, gamma)
-    times = np.asarray(times, dtype=float)
-    merged = v0.values + v1.values
-    norms = np.empty_like(times)
-    for i, t in enumerate(times):
-        k00, k01, _, _ = kernel_entries(float(t), v0.r)
-        diff = k00 * v0.values + k01 * v1.values - heat_multiplier(float(t), v0.r) * merged
-        norms[i] = norm_radial(v0.with_values(diff), s)
-    return DecayCurve(times, norms, s, gamma, kind="difference")
+    return _curve("difference", v0, v1, times, s, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import ContractError, DomainError
 from .fields import (GridSpec, SpectrumField, _forward_coeffs, _irfftn, _rfftn,
                      _unitary_scales, dealias_mask, hermitian_weight,
                      wavenumber_magnitude)
-from .propagators import kernel_entries
+from .propagators import kernel_entries, propagate
 
 STATUS_COMPLETED = "Completed"
 STATUS_BLOW_UP = "BlowUp"
@@ -386,8 +386,6 @@ def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,
     kmag = wavenumber_magnitude(grid)
     u = _forward_coeffs(eps * np.asarray(u0, dtype=float), grid)
     ut = _forward_coeffs(eps * np.asarray(u1, dtype=float), grid)
-    rows = []
-    for t in np.asarray(times, dtype=float):
-        k00, k01, _, _ = kernel_entries(float(t), kmag)
-        rows.append(_norms(k00 * u + k01 * ut, weights))
+    rows = [_norms(propagate("damped", float(t), kmag, u, ut), weights)
+            for t in np.asarray(times, dtype=float)]
     return tuple(np.asarray(rows, dtype=float).reshape(-1, 3).T.copy())

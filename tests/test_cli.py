@@ -155,6 +155,49 @@ class TestRunCommands:
         assert "error" in err
 
 
+class TestRunInputFailsFast:
+    """Bad run input exits 2 with one error line and leaves no run directory."""
+
+    def fails(self, capsys, tmp_path, *argv):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+        return err
+
+    @pytest.mark.parametrize("spec", ["powerlaw", "powerlaw:a=x",
+                                      "powerlaw:a=0.2,b=3", "gaussian:x=3"])
+    @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
+    def test_bad_profile(self, capsys, tmp_path, command, spec):
+        err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
+                         "--s", "1", "--profile", spec)
+        assert repr(spec) in err
+
+    def test_testfn_missing_run(self, capsys, tmp_path):
+        err = self.fails(capsys, tmp_path, "testfn", "--run",
+                         str(tmp_path / "absent"), "--R", "2")
+        assert "is not an evolve run directory" in err
+
+    def test_testfn_on_phase_diagram_run(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "phase-diagram", *RUNS["phase-diagram"],
+                               "--out", str(tmp_path / "source"))
+        assert code == 0
+        err = self.fails(capsys, tmp_path, "testfn", "--run",
+                         json.loads(out)["run_dir"], "--R", "2")
+        assert "is not an evolve run directory" in err
+
+    def test_testfn_on_evolve_without_snapshots(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "evolve", "--dim", "1", "--N", "256",
+                               "--p", "2", "--eps", "0.05", "--gamma", "0.5",
+                               "--dt", "0.05", "--tend", "1",
+                               "--out", str(tmp_path / "source"))
+        assert code == 0
+        err = self.fails(capsys, tmp_path, "testfn", "--run",
+                         json.loads(out)["run_dir"], "--R", "2")
+        assert "stored no snapshots" in err
+
+
 class TestConfigInput:
     """Bad --config files and list values fail with one error line, exit 2."""
 

@@ -33,6 +33,21 @@ class TestProfiles:
         assert profile.dim == 2
         assert profile.values[0] == pytest.approx(profile.r[0] ** -0.25)
 
+    def test_gaussian_width_defaults_to_one(self):
+        default = build_profile("gaussian", 2)
+        np.testing.assert_array_equal(default.values,
+                                      build_profile("gaussian:w=1", 2).values)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("powerlaw", "neither powerlaw:a=<a> nor"),
+        ("powerlaw:a=x", "is not <key>=<number>"),
+        ("powerlaw:a=0.2,b=3", "neither powerlaw:a=<a> nor"),
+        ("gaussian:x=3", "neither powerlaw:a=<a> nor"),
+    ], ids=["missing-a", "non-numeric", "unknown-key-b", "unknown-key-x"])
+    def test_bad_spec_rejected(self, spec, message):
+        with pytest.raises(DomainError, match=message):
+            build_profile(spec, 2)
+
 
 class TestSuites:
     def test_decay_suite_predictions(self):

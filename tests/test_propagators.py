@@ -5,7 +5,8 @@ import pytest
 
 from critex import (ContractError, DomainError, GridSpec, apply_linear,
                     heat_multiplier, kernel_entries, make_initial_data,
-                    pointwise_bound_check, propagator, transform_forward)
+                    pointwise_bound_check, propagate, propagator,
+                    transform_forward)
 
 TEST_RADII = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 60)))
 
@@ -149,6 +150,39 @@ class TestHeatMultiplier:
     def test_vectorized(self):
         r = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(heat_multiplier(2.0, r), np.exp(-2 * r**2))
+
+
+class TestPropagate:
+    def data(self):
+        rng = np.random.default_rng(5)
+        r = np.geomspace(1e-3, 10.0, 41)
+        a = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+        b = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+        return r, a, b
+
+    def test_flows_are_the_multipliers(self):
+        r, a, b = self.data()
+        for t in (0.0, 0.3, 7.0):
+            k00, k01, _, _ = kernel_entries(t, r)
+            heat = heat_multiplier(t, r) * (a + b)
+            np.testing.assert_array_equal(propagate("damped", t, r, a, b),
+                                          k00 * a + k01 * b)
+            np.testing.assert_array_equal(propagate("heat", t, r, a, b), heat)
+            np.testing.assert_array_equal(propagate("difference", t, r, a, b),
+                                          k00 * a + k01 * b - heat)
+
+    def test_identity_at_zero(self):
+        r, a, b = self.data()
+        np.testing.assert_allclose(propagate("damped", 0.0, r, a, b), a, rtol=1e-15)
+        np.testing.assert_allclose(propagate("heat", 0.0, r, a, b), a + b, rtol=1e-15)
+
+    def test_rejects_bad_input(self):
+        r, a, b = self.data()
+        with pytest.raises(DomainError, match="unknown linear flow"):
+            propagate("wave", 1.0, r, a, b)
+        for kind in ("damped", "heat", "difference"):
+            with pytest.raises(DomainError):
+                propagate(kind, -1.0, r, a, b)
 
 
 class TestApplyLinear:

@@ -4,8 +4,9 @@ from scipy.integrate import quad
 
 from critex import (AccuracyError, ContractError, DomainError, DecayCurve,
                     RadialProfile, diffusion_difference, evolve_damped,
-                    evolve_heat, fit_rate, gaussian_profile, log_radial_grid,
-                    norm_radial, power_law_profile)
+                    evolve_heat, fit_rate, gaussian_profile, heat_multiplier,
+                    kernel_entries, log_radial_grid, norm_radial,
+                    power_law_profile)
 from critex.errors import InsufficientDataError
 from critex.radial import sphere_surface
 
@@ -172,6 +173,32 @@ class TestDiffusionDifference:
         diff = diffusion_difference(v0, v1, times, 0.0, 0.7)
         ratio = diff.norms / damped.norms
         assert all(b < a for a, b in zip(ratio, ratio[1:]))
+
+
+class TestCompositionPinned:
+    """Each curve equals a per-time composition of the kernel entries and the
+    heat multiplier to the last bit."""
+
+    @staticmethod
+    def oracle(kind, t, v0, v1):
+        k00, k01, _, _ = kernel_entries(t, v0.r)
+        damped = k00 * v0.values + k01 * v1.values
+        heat = heat_multiplier(t, v0.r) * (v0.values + v1.values)
+        return {"damped": damped, "heat": heat, "difference": damped - heat}[kind]
+
+    @pytest.mark.parametrize("kind, evolve", [("damped", evolve_damped),
+                                              ("heat", evolve_heat),
+                                              ("difference", diffusion_difference)])
+    def test_curve(self, kind, evolve):
+        v0 = power_law_profile(2, 0.25)
+        v1 = gaussian_profile(2, 3.0)
+        times = np.array([0.0, 0.5, 3.0, 40.0, 900.0])
+        curve = evolve(v0, v1, times, 1.0, 0.7)
+        expected = [norm_radial(v0.with_values(self.oracle(kind, float(t), v0, v1)), 1.0)
+                    for t in times]
+        assert curve.kind == kind
+        np.testing.assert_array_equal(curve.times, times)
+        np.testing.assert_array_equal(curve.norms, expected)
 
 
 class TestFitRate:

@@ -7,9 +7,11 @@ from scipy.integrate import solve_ivp
 from critex import (DomainError, GridSpec, SolverConfig, State, apply_linear,
                     make_initial_data, measure_lifespan, nonlinearity, run,
                     step, transform_forward)
-from critex.fields import _forward_coeffs, _inverse_samples, dealias_mask
-from critex.solver import (STATUS_COMPLETED, STATUS_STEP_UNDERFLOW, energy,
-                           linear_reference)
+from critex.fields import (_forward_coeffs, _inverse_samples, dealias_mask,
+                           wavenumber_magnitude)
+from critex.propagators import kernel_entries
+from critex.solver import (STATUS_COMPLETED, STATUS_STEP_UNDERFLOW, _norm_weights,
+                           _norms, energy, linear_reference)
 
 
 def small_grid(points=256, length=16 * np.pi):
@@ -177,6 +179,23 @@ class TestRun:
         rel_hs = np.max(np.abs(result.hs[mask] - lin_hs[mask]) / lin_hs[mask])
         assert rel_l2 < 1e-6
         assert rel_hs < 1e-6
+
+    def test_linear_reference_composition_pinned(self):
+        # per-time oracle: k00 u + k01 ut from the kernel entries, same norms
+        grid = GridSpec(dim=2, length=8 * np.pi, points=32)
+        u0 = make_initial_data("gaussian", grid, amplitude=1.0, width=2.0)
+        u1 = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+        times = np.array([0.0, 0.25, 2.0, 30.0])
+        u = _forward_coeffs(0.3 * u0, grid)
+        ut = _forward_coeffs(0.3 * u1, grid)
+        weights = _norm_weights(grid, 1.0, 0.5)
+        rows = []
+        for t in times:
+            k00, k01, _, _ = kernel_entries(float(t), wavenumber_magnitude(grid))
+            rows.append(_norms(k00 * u + k01 * ut, weights))
+        got = linear_reference(u0, u1, grid, 0.3, times, 1.0, 0.5)
+        for norms, expected in zip(got, np.array(rows).T):
+            np.testing.assert_array_equal(norms, expected)
 
     def test_history_structure(self):
         grid = small_grid()
