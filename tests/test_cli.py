@@ -197,6 +197,24 @@ class TestRunInputFailsFast:
                          json.loads(out)["run_dir"], "--R", "2")
         assert "stored no snapshots" in err
 
+    @pytest.mark.parametrize("count", ["-3", "1"])
+    def test_evolve_bad_snapshot_count(self, capsys, tmp_path, count):
+        err = self.fails(capsys, tmp_path, *EVOLVE_FLAGS, "--snapshots", count)
+        assert f"snapshots must be 0 or at least 2, got {count}" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eps", "-1", "data size eps must be nonnegative"),
+        ("--dt", "-0.1", "initial step must be positive"),
+        ("--N", "100", "points per axis must be a power of two"),
+    ])
+    def test_evolve_bad_input(self, capsys, tmp_path, flag, value, message):
+        err = self.fails(capsys, tmp_path, *EVOLVE_FLAGS, flag, value)
+        assert message in err
+
+
+EVOLVE_FLAGS = ("evolve", "--dim", "1", "--p", "2", "--gamma", "0.5",
+                "--tend", "1", "--N", "256", "--eps", "0.05")
+
 
 class TestConfigInput:
     """Bad --config files and list values fail with one error line, exit 2."""

@@ -1,9 +1,10 @@
 import math
+import zipfile
 
 import numpy as np
 import pytest
 
-from critex import DomainError, GridSpec, RegimeParams, p_crit
+from critex import DomainError, GridSpec, RegimeParams, experiments, p_crit, solver
 from critex.errors import InsufficientDataError
 from critex.experiments import TestFunctionSpec as CutoffSpec
 from critex.experiments import (build_profile,
@@ -258,7 +259,7 @@ class TestRunDirectories:
         def crash(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", crash)
+        monkeypatch.setattr(np, "savez", crash)
         with pytest.raises(OSError, match="disk full"):
             experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0, eps=0.05,
                               gamma=0.4, dt=0.05, tend=0.5, snapshots=4,
@@ -266,6 +267,39 @@ class TestRunDirectories:
         (run_dir,) = tmp_path.iterdir()
         assert (run_dir / "config.json").exists()
         assert not (run_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("eps, status, stored", [(0.1, "Completed", 8),
+                                                     (1.0, "BlowUp", 3)])
+    def test_snapshot_archive_is_stored_and_exact(self, tmp_path, monkeypatch,
+                                                  eps, status, stored):
+        seen = {}
+
+        def observed_run(*args, observer, **kwargs):
+            def observe(t, u_phys):
+                seen[t] = u_phys.copy()
+                observer(t, u_phys)
+            return solver.run(*args, observer=observe, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", observed_run)
+        run_dir, meta = experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0,
+                                          eps=eps, gamma=0.5, dt=0.05,
+                                          tend=10.0, snapshots=8,
+                                          out=str(tmp_path))
+        assert meta["status"] == status
+        path = run_dir / "snapshots.npz"
+        with zipfile.ZipFile(path) as archive:
+            assert sorted(archive.namelist()) == ["fields.npy", "times.npy",
+                                                  "u0.npy", "u1.npy"]
+            assert all(info.compress_type == zipfile.ZIP_STORED
+                       for info in archive.infolist())
+        with np.load(path) as archive:
+            times, fields = archive["times"], archive["fields"]
+        # a run that blows up stores only the targets it reached, and no
+        # unwritten buffer rows
+        assert fields.shape == (stored, 256) and len(times) == stored
+        assert fields.dtype == np.float64
+        for t, field in zip(times, fields):
+            assert field.tobytes() == seen[t].tobytes()
 
     def test_json_written_whole_or_not_at_all(self, tmp_path):
         with pytest.raises(TypeError):
