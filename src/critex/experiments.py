@@ -355,7 +355,7 @@ def evaluate_testfn_functional(run_dir: str | Path,
 
     For each spec computes  I_R = Int Int |u|^p phi_R eta_R dx dt  by
     trapezoid over the stored physical snapshots, the data term
-    D_R = eps * Int (u0 + u1) phi_R dx, and the bound term
+    D_R = eps * Int (u0 + u1) phi_R dx with evolve's u1 = u0, and the bound term
     B_R = (C/p') R^{n+2-2p'} with C calibrated so the two terms touch at
     the first R; reports the contradiction window D_R > B_R per R.
     """
@@ -365,7 +365,6 @@ def evaluate_testfn_functional(run_dir: str | Path,
         snapshot_times = archive["times"]
         fields = archive["fields"]
         u0 = archive["u0"]
-        u1 = archive["u1"]
 
     grid = GridSpec(dim=int(config["dim"]), length=float(config["L"]),
                     points=int(config["N"]))
@@ -393,7 +392,7 @@ def evaluate_testfn_functional(run_dir: str | Path,
             for j in np.nonzero(mask)[0]])
         i_r = float(np.trapezoid(space_integrals * eta[mask], x=snapshot_times[mask]))
 
-        d_r = eps * float(np.sum((u0 + u1) * phi)) * cell
+        d_r = eps * float(np.sum(2.0 * u0 * phi)) * cell
         p_conj = conjugate_exponent(spec.p)
         growth = spec.n + 2.0 - 2.0 * p_conj
         if calibration is None:
@@ -437,9 +436,9 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Each signature is the experiment's only description: the CLI derives its
 # flags, defaults and --config keys from it, and each passes ``locals()``,
-# taken before any other local is bound, to ``_open_run``.  The rate suites
-# open theirs after computing, and evolve after building its inputs, so bad
-# input leaves no run directory.
+# taken before any other local is bound, to ``_open_run``.  The rate suites,
+# the lifespan sweep and the phase diagram open theirs after computing, and
+# evolve after building its inputs, so bad input leaves no run directory.
 
 def experiment_linear_decay(n: float, gamma: float, s: float, profile: str,
                             t0: float = 1.0, t1: float = 1e5, points: int = 96,
@@ -506,7 +505,7 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
         # stored, not deflated: deflate saves only ~40 % on float64 fields
         # and took about a third of the time of a 2-D snapshot run
         np.savez(run_dir / "snapshots.npz", times=np.asarray(collector.times),
-                 fields=collector.fields[:len(collector.times)], u0=data, u1=data)
+                 fields=collector.fields[:len(collector.times)], u0=data)
     write_json(run_dir / "report.json", report)
     return run_dir, meta
 
@@ -557,12 +556,12 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
     give 8 points spanning one decade.
     """
     N, L = _grid_size(dim, N, L)
-    run_dir = _open_run("lifespan", locals())
+    params = dict(locals())
     schedule = [eps_start * eps_factor ** i for i in range(count)]
-    params = RegimeParams(n=float(dim), gamma=gamma, s=s, p=p)
-    sweep = run_lifespan_sweep(params, schedule,
-                               GridSpec(dim=dim, length=L, points=N), dt=dt,
-                               t_end=tend, theta=theta, workers=workers)
+    sweep = run_lifespan_sweep(RegimeParams(n=float(dim), gamma=gamma, s=s, p=p),
+                               schedule, GridSpec(dim=dim, length=L, points=N),
+                               dt=dt, t_end=tend, theta=theta, workers=workers)
+    run_dir = _open_run("lifespan", params)
     write_csv(run_dir / "sweep.csv", ["eps", "T", "status"],
               ((r.eps, r.lifespan, r.status) for r in sweep.rows))
     report = sweep.to_json()
@@ -575,9 +574,10 @@ def experiment_phase_diagram(n: float, s: float, gamma_min: float,
                              p_max: float, p_steps: int,
                              out: str | None = None) -> tuple[Path, dict]:
     """Regime map over a (gamma, p) grid."""
-    run_dir = _open_run("phase-diagram", locals())
+    params = dict(locals())
     rows = emit_phase_diagram(n, s, np.linspace(gamma_min, gamma_max, gamma_steps),
                               np.linspace(p_min, p_max, p_steps))
+    run_dir = _open_run("phase-diagram", params)
     write_csv(run_dir / "regions.csv",
               ["gamma", "p", "regime", "p_crit", "p_lower", "p_cap", "gamma_tilde"],
               ((r["gamma"], r["p"], r["regime"], r["p_crit"], r["p_lower"],

@@ -21,17 +21,12 @@ mean-zero fields.  Homogeneous norms of negative order exclude the k = 0
 mode and demand a nearly mean-free field: on the torus the continuum norm
 diverges for nonzero mean, so the bias of dropping the single discrete zero
 mode is made explicit instead of hidden.
-
-``save_field`` writes a versioned file holding the half spectrum;
-``load_field`` also reads the unversioned full-spectrum files of format 1.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -319,57 +314,3 @@ def make_initial_data(kind: str, grid: GridSpec, **params) -> np.ndarray:
 def _reject_extra(params: dict) -> None:
     if params:
         raise DomainError(f"unexpected parameters: {sorted(params)}")
-
-
-# ---------------------------------------------------------------------------
-# binary serialization
-# ---------------------------------------------------------------------------
-
-FORMAT_VERSION = 2
-_MAGIC = b"CRITEXF\0"
-_PREAMBLE = struct.Struct("<8sq")  # magic, format version
-_HEADER = struct.Struct("<qqd")  # dim, points, length
-
-
-def save_field(field: SpectrumField, path: str | Path) -> None:
-    """Write a field in format ``FORMAT_VERSION``.
-
-    Layout, all values little-endian: the 8-byte magic ``CRITEXF\\0``, the
-    format version (int64), the grid {dim (int64), N (int64), L (float64)},
-    then the half-spectrum coefficients as (re, im) float64 pairs in
-    row-major ``rfftn`` order.
-    """
-    data = np.ascontiguousarray(field.coeffs, dtype="<c16")
-    with open(path, "wb") as handle:
-        handle.write(_PREAMBLE.pack(_MAGIC, FORMAT_VERSION))
-        handle.write(_HEADER.pack(field.grid.dim, field.grid.points, field.grid.length))
-        handle.write(data.tobytes())
-
-
-def load_field(path: str | Path) -> SpectrumField:
-    """Read a field written by ``save_field``.
-
-    Also reads format 1, which has no magic or version: the grid header
-    followed by the full spectrum in ``fftn`` order; its half spectrum is
-    kept.
-    """
-    raw = Path(path).read_bytes()
-    offset, version = 0, 1
-    try:
-        if raw.startswith(_MAGIC):
-            _, version = _PREAMBLE.unpack_from(raw)
-            if version != FORMAT_VERSION:
-                raise ContractError(f"unsupported field file version {version}")
-            offset = _PREAMBLE.size
-        dim, points, length = _HEADER.unpack_from(raw, offset)
-    except struct.error as exc:
-        raise ContractError(f"field file header truncated: {exc}") from None
-    grid = GridSpec(dim=dim, length=length, points=points)
-    payload = raw[offset + _HEADER.size:]
-    shape = grid.spectrum_shape if version == FORMAT_VERSION else grid.shape
-    expected = int(np.prod(shape)) * 16
-    if len(payload) != expected:
-        raise ContractError(
-            f"field payload has {len(payload)} bytes, expected {expected}")
-    coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
-    return SpectrumField(grid, coeffs[..., :points // 2 + 1].astype(np.complex128))

@@ -1,31 +1,34 @@
 """Mild-solution time integrator for u_tt - Delta u + u_t = |u|^p.
 
 Each step propagates the spectral pair (u_hat, ut_hat) with the exact
-linear fundamental matrix and adds the forcing through a
-predictor-corrector quadrature of the variation-of-constants integral:
+linear fundamental matrix and integrates the forcing exactly in time
+against its linear interpolant between the two ends of the step (ETD2,
+exponential time differencing of second order):
 
     N0   = transform(|u(t)|^p)
-    pred = linear(h) . state + h * (k01(h), k11(h)) * N0
-    Nh   = transform(|pred|^p)
-    u    <- linear part + (h/2) * k01(h) * N0
-    u_t  <- linear part + (h/2) * (k11(h) * N0 + Nh)
+    pred = k00 u + k01 u_t + I0 N0
+    dN   = transform(|pred|^p) - N0
+    u    <- pred + I1 dN
+    u_t  <- k10 u + k11 u_t + J0 N0 + J1 dN
 
-The forcing kernel vanishes at zero time lag, so the trapezoid endpoint at
-the new time drops out of the u row and the corrector stays explicit while
-the scheme is globally second order.  Spectra are stored in the real
-half-spectrum layout of ``fields``, so every physical field is real by
-construction and the recorded norms carry the Hermitian multiplicity
-weights.  Fundamental solutions are never
-materialized in physical space; propagation is multiplier application,
-which is their exact action.
+with the weights I0, I1, J0, J1 of ``propagators.forcing_weights``.  The
+weights are exact for any step, including steps far longer than the unit
+damping time, so the scheme is globally second order and the step length
+is limited by how fast the forcing changes, not by the kernel.  Spectra are
+stored in the real half-spectrum layout of ``fields``, so every physical
+field is real by construction and the recorded norms carry the Hermitian
+multiplicity weights.  Fundamental solutions are never materialized in
+physical space; propagation is multiplier application, which is their
+exact action.
 
 Blow-up has no finite criterion, so a max-amplitude threshold theta stands
 in for norm divergence; near genuine blow-up the measured time is
 insensitive to theta over many orders of magnitude.  Steps halve whenever
-the amplitude grows faster than ``growth_factor`` per step; running out of
-step size (StepUnderflow) is reported separately but counted as blow-up by
-lifespan sweeps, since gradient steepening beyond resolvable steps is
-numerically indistinguishable from divergence.
+the amplitude grows faster than ``growth_factor`` per step, and double
+after a quiet streak up to t/16; running out of step size
+(StepUnderflow) is reported separately but counted as blow-up by lifespan
+sweeps, since gradient steepening beyond resolvable steps is numerically
+indistinguishable from divergence.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import ContractError, DomainError
 from .fields import (GridSpec, SpectrumField, _forward_coeffs, _irfftn, _rfftn,
                      _unitary_scales, dealias_mask, hermitian_weight,
                      wavenumber_magnitude)
-from .propagators import kernel_entries, propagate
+from .propagators import forcing_weights, kernel_entries, propagate
 
 STATUS_COMPLETED = "Completed"
 STATUS_BLOW_UP = "BlowUp"
@@ -51,9 +54,14 @@ LIFESPAN_INFINITE = math.inf
 _HISTORY_SAMPLES = 96
 _REGROWTH_STREAK = 4
 # Past the transient the dynamics slow down with t while the linear
-# propagation stays exact at any step, so the step may grow to t/64 once
-# the amplitude is quiet; long diffusive runs then cost O(log t) steps.
-_STEP_CAP_FRACTION = 1.0 / 64.0
+# propagation and the forcing weights stay exact at any step, so the step
+# may grow to t/16 once the amplitude is quiet; long diffusive runs then
+# cost O(log t) steps.  The lifespan bias of this cap is measured by
+# tests/test_solver.py::TestLifespanAccuracy.
+_STEP_CAP_FRACTION = 1.0 / 16.0
+# Step sizes whose multipliers the workspace keeps: the step control
+# mostly repeats the last size, or returns to the one before a halving.
+_CACHED_STEPS = 2
 _QUIET_AMPLITUDE_RATIO = 1.02
 
 # Default desk-scale grids: the lowest mode must stay small enough that
@@ -145,11 +153,11 @@ def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
 
 
 class _Workspace:
-    """Cached half-layout arrays and per-step-size kernel products for one grid.
+    """Cached half-layout arrays and per-step-size multipliers for one grid.
 
     Steps use the unnormalized transforms; the unitary scales and the
-    dealias mask ride on cached multipliers, so no step rescales or masks a
-    whole array.  The linear terms stay unmasked.
+    dealias mask ride on the cached forcing weights, so no step rescales or
+    masks a whole array.  The linear terms stay unmasked.
     """
 
     def __init__(self, grid: GridSpec, dealias: bool):
@@ -161,20 +169,21 @@ class _Workspace:
         self.forcing_fold = mask * forward_scale
         # unitary coefficients -> masked input of the raw _irfftn
         self.synthesis = mask * inverse_scale
-        self._entries: dict[float, tuple] = {}
+        self._entries: list[tuple[float, tuple]] = []  # most recent first
 
     def entries(self, h: float) -> tuple:
-        """Linear entries k00..k11 at h, then the forcing multipliers
-        (h/2) k01, (h/2) k11 and h/2, each folded with mask and scale."""
-        cached = self._entries.get(h)
-        if cached is None:
-            k00, k01, k10, k11 = kernel_entries(h, self.kmag)
-            half_fold = 0.5 * h * self.forcing_fold
-            cached = (k00, k01, k10, k11, k01 * half_fold, k11 * half_fold,
-                      half_fold)
-            if len(self._entries) > 24:
-                self._entries.clear()
-            self._entries[h] = cached
+        """Linear entries k00..k11 at h, then the forcing weights I0, I1,
+        J0, J1, each folded with mask and scale."""
+        for i, (cached_h, cached) in enumerate(self._entries):
+            if cached_h == h:
+                if i:
+                    self._entries.insert(0, self._entries.pop(i))
+                return cached
+        linear = kernel_entries(h, self.kmag)
+        weights = forcing_weights(h, self.kmag, entries=linear)
+        cached = linear + tuple(w * self.forcing_fold for w in weights)
+        self._entries.insert(0, (h, cached))
+        del self._entries[_CACHED_STEPS:]
         return cached
 
     def physical(self, coeffs: np.ndarray) -> np.ndarray:
@@ -207,18 +216,17 @@ def _norms(coeffs: np.ndarray, weights: tuple) -> list[float]:
 
 def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
                  p: float, ws: _Workspace):
-    """One predictor-corrector step on raw coefficient arrays.
+    """One ETD2 step on raw coefficient arrays.
 
     ``u_phys`` must be the (dealiased) physical field of ``u``.  Returns the
     new coefficient pair plus the new physical field and its max amplitude.
     """
-    k00, k01, k10, k11, half_k01, half_k11, half = ws.entries(h)
+    k00, k01, k10, k11, i0, i1, j0, j1 = ws.entries(h)
     forcing0 = _rfftn(nonlinearity(u_phys, p), ws.grid)
-    kick = half_k01 * forcing0  # (h/2) k01(h) N0
-    u_new = k00 * u + k01 * ut + kick
-    predictor_phys = ws.physical(u_new + kick)
-    forcing_h = _rfftn(nonlinearity(predictor_phys, p), ws.grid)
-    ut_new = k10 * u + k11 * ut + half_k11 * forcing0 + half * forcing_h
+    predictor = k00 * u + k01 * ut + i0 * forcing0
+    jump = _rfftn(nonlinearity(ws.physical(predictor), p), ws.grid) - forcing0
+    u_new = predictor + i1 * jump
+    ut_new = k10 * u + k11 * ut + j0 * forcing0 + j1 * jump
     u_new_phys = ws.physical(u_new)
     return u_new, ut_new, u_new_phys, float(np.max(np.abs(u_new_phys)))
 
@@ -362,18 +370,6 @@ def measure_lifespan(config: SolverConfig, u0: np.ndarray, u1: np.ndarray,
     if eps is not None:
         config = replace(config, eps=eps)
     return run(config, u0, u1, grid, s, gamma).lifespan
-
-
-def energy(state: State) -> float:
-    """Damped-wave energy 0.5 (||u_t||_{L2}^2 + ||grad u||_{L2}^2).
-
-    Nonincreasing along source-free trajectories; used as a health check.
-    """
-    mult = hermitian_weight(state.grid)
-    kmag = wavenumber_magnitude(state.grid)
-    ut_sq = np.sum(mult * np.abs(state.ut_hat.coeffs) ** 2)
-    grad_sq = np.sum(mult * kmag ** 2 * np.abs(state.u_hat.coeffs) ** 2)
-    return float(0.5 * (ut_sq + grad_sq))
 
 
 def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,

@@ -211,6 +211,20 @@ class TestRunInputFailsFast:
         err = self.fails(capsys, tmp_path, *EVOLVE_FLAGS, flag, value)
         assert message in err
 
+    def test_lifespan_bad_eps_factor(self, capsys, tmp_path):
+        err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
+                         "--gamma", "0.5", "--s", "1", "--p", "2",
+                         "--eps-start", "1", "--eps-factor", "1",
+                         "--N", "256", "--L", "50")
+        assert "eps schedule must be strictly monotone geometric" in err
+
+    def test_phase_diagram_bad_gamma(self, capsys, tmp_path):
+        err = self.fails(capsys, tmp_path, "phase-diagram", "--n", "1",
+                         "--s", "1", "--gamma-min", "-1", "--gamma-max", "0.4",
+                         "--gamma-steps", "2", "--p-min", "1.5", "--p-max", "3",
+                         "--p-steps", "2")
+        assert "gamma grid must lie inside (0, n/2)" in err
+
 
 EVOLVE_FLAGS = ("evolve", "--dim", "1", "--p", "2", "--gamma", "0.5",
                 "--tend", "1", "--N", "256", "--eps", "0.05")

@@ -289,7 +289,7 @@ class TestRunDirectories:
         path = run_dir / "snapshots.npz"
         with zipfile.ZipFile(path) as archive:
             assert sorted(archive.namelist()) == ["fields.npy", "times.npy",
-                                                  "u0.npy", "u1.npy"]
+                                                  "u0.npy"]
             assert all(info.compress_type == zipfile.ZIP_STORED
                        for info in archive.infolist())
         with np.load(path) as archive:

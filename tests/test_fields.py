@@ -1,13 +1,11 @@
-import struct
-
 import numpy as np
 import pytest
 
 from critex import (ContractError, DomainError, GridSpec, NormOrder,
-                    SpectrumField, load_field, make_initial_data, save_field,
-                    sobolev_norm, transform_forward, transform_inverse)
-from critex.fields import (FORMAT_VERSION, axis_coordinates, dealias_mask,
-                           hermitian_weight, l2_norm, wavenumber_magnitude)
+                    SpectrumField, make_initial_data, sobolev_norm,
+                    transform_forward, transform_inverse)
+from critex.fields import (axis_coordinates, dealias_mask, hermitian_weight,
+                           l2_norm, wavenumber_magnitude)
 
 
 def physical_l2(samples, grid):
@@ -257,72 +255,6 @@ class TestInitialData:
             make_initial_data("unknown", grid)
         with pytest.raises(DomainError):
             make_initial_data("critical_tail", grid, amplitude=1.0, gamma=-0.5)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(21)
-        grid = GridSpec(dim=2, length=6.5, points=16)
-        field = transform_forward(rng.standard_normal(grid.shape), grid)
-        path = tmp_path / "field.bin"
-        save_field(field, path)
-        loaded = load_field(path)
-        assert loaded.grid == grid
-        assert np.array_equal(loaded.coeffs, field.coeffs)
-
-    def test_wire_format(self, tmp_path):
-        grid = GridSpec(dim=1, length=2.0, points=8)
-        coeffs = np.arange(5, dtype=float) + 1j * np.arange(5, dtype=float)
-        field = SpectrumField(grid, coeffs)
-        path = tmp_path / "field.bin"
-        save_field(field, path)
-        raw = path.read_bytes()
-        magic, version = struct.unpack_from("<8sq", raw)
-        assert (magic, version) == (b"CRITEXF\0", FORMAT_VERSION)
-        dim, points, length = struct.unpack_from("<qqd", raw, 16)
-        assert (dim, points, length) == (1, 8, 2.0)
-        pairs = np.frombuffer(raw[40:], dtype="<f8").reshape(5, 2)
-        assert np.array_equal(pairs[:, 0], np.arange(5))
-        assert np.array_equal(pairs[:, 1], np.arange(5))
-
-    def test_reads_format_one(self, tmp_path):
-        # format 1: grid header, then the full fftn spectrum; no version
-        rng = np.random.default_rng(22)
-        for dim in (1, 2):
-            grid = GridSpec(dim=dim, length=3.0, points=16)
-            samples = rng.standard_normal(grid.shape)
-            full = np.fft.fftn(samples) * grid.length ** (dim / 2) / 16 ** dim
-            path = tmp_path / f"legacy{dim}.bin"
-            path.write_bytes(struct.pack("<qqd", dim, 16, 3.0)
-                             + full.astype("<c16").tobytes())
-            loaded = load_field(path)
-            assert loaded.grid == grid
-            assert np.array_equal(loaded.coeffs, full[..., :9])
-            assert np.max(np.abs(transform_inverse(loaded) - samples)) < 1e-12
-
-    def test_wrong_payload_length(self, tmp_path):
-        grid = GridSpec(dim=2, length=2.0, points=8)
-        path = tmp_path / "field.bin"
-        save_field(transform_forward(np.ones(grid.shape), grid), path)
-        raw = path.read_bytes()
-        for bad in (raw[:-16], raw + b"\0" * 16, raw[:30]):
-            path.write_bytes(bad)
-            with pytest.raises(ContractError):
-                load_field(path)
-        # a full-layout payload under the versioned header is rejected too
-        path.write_bytes(raw[:40] + np.zeros(64, dtype="<c16").tobytes())
-        with pytest.raises(ContractError):
-            load_field(path)
-        path.write_bytes(struct.pack("<8sq", b"CRITEXF\0", 99) + raw[16:])
-        with pytest.raises(ContractError, match="version"):
-            load_field(path)
-
-    def test_truncated_payload(self, tmp_path):
-        grid = GridSpec(dim=1, length=2.0, points=8)
-        path = tmp_path / "bad.bin"
-        path.write_bytes(struct.pack("<qqd", 1, 8, 2.0) + b"\0" * 16)
-        with pytest.raises(ContractError):
-            load_field(path)
 
 
 class TestDealias:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from critex import (ContractError, DomainError, GridSpec, apply_linear,
-                    heat_multiplier, kernel_entries, make_initial_data,
-                    pointwise_bound_check, propagate, propagator,
-                    transform_forward)
+from critex import (DomainError, GridSpec, forcing_weights, heat_multiplier,
+                    kernel_entries, make_initial_data, pointwise_bound_check,
+                    propagate, propagator, transform_forward)
+from critex.fields import wavenumber_magnitude
 
 TEST_RADII = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 60)))
 
@@ -186,22 +187,25 @@ class TestPropagate:
 
 
 class TestApplyLinear:
+    """The damped flow applied to a spectral (u, u_t) pair on a grid."""
+
+    def flow(self, u, ut, t):
+        return propagate("damped", t, wavenumber_magnitude(u.grid),
+                         u.coeffs, ut.coeffs)
+
     def test_identity_at_zero(self):
         grid = GridSpec(dim=1, length=2 * np.pi, points=64)
         rng = np.random.default_rng(2)
         u = transform_forward(rng.standard_normal(grid.shape), grid)
         ut = transform_forward(rng.standard_normal(grid.shape), grid)
-        new_u, new_ut = apply_linear((u, ut), 0.0)
-        assert np.array_equal(new_u.coeffs, u.coeffs)
-        assert np.array_equal(new_ut.coeffs, ut.coeffs)
+        assert np.array_equal(self.flow(u, ut, 0.0), u.coeffs)
 
     def test_zero_mode_gain(self):
         grid = GridSpec(dim=1, length=2 * np.pi, points=64)
         u = transform_forward(np.zeros(grid.shape), grid)
         ut = transform_forward(np.ones(grid.shape), grid)
         t = 2.5
-        new_u, new_ut = apply_linear((u, ut), t)
-        gain = new_u.coeffs[0] / ut.coeffs[0]
+        gain = self.flow(u, ut, t)[0] / ut.coeffs[0]
         assert gain == pytest.approx(1 - math.exp(-t), rel=1e-13)
 
     def test_high_mode_envelope(self):
@@ -211,18 +215,71 @@ class TestApplyLinear:
         u = transform_forward(data, grid)
         ut = transform_forward(np.zeros(grid.shape), grid)
         t = 40.0
-        new_u, _ = apply_linear((u, ut), t)
-        amp = abs(new_u.coeffs[1]) / abs(u.coeffs[1])
+        amp = abs(self.flow(u, ut, t)[1]) / abs(u.coeffs[1])
         envelope = math.exp(-t / 2)
         assert amp <= envelope * (1 + 1 / math.sqrt(3)) + 1e-15
 
-    def test_grid_mismatch(self):
-        grid_a = GridSpec(dim=1, length=2.0, points=16)
-        grid_b = GridSpec(dim=1, length=2.0, points=32)
-        u = transform_forward(np.zeros(grid_a.shape), grid_a)
-        ut = transform_forward(np.zeros(grid_b.shape), grid_b)
-        with pytest.raises(ContractError):
-            apply_linear((u, ut), 1.0)
+
+def _weights_oracle(h, r):
+    """I0 = int_0^h k01 and I1 = (1/h) int_0^h (h - s) k01(s) ds by adaptive
+    quadrature; QAWO (sine weight) for the oscillating modes r > 1."""
+    options = dict(epsabs=0.0, epsrel=1e-13, limit=5000)
+    if r > 1:
+        w = 0.5 * math.sqrt(4 * r * r - 1)
+        i0 = quad(lambda s: math.exp(-0.5 * s) / w, 0, h, weight="sin",
+                  wvar=w, **options)[0]
+        i1 = quad(lambda s: (h - s) * math.exp(-0.5 * s) / w, 0, h,
+                  weight="sin", wvar=w, **options)[0]
+        return i0, i1 / h
+
+    def k01(s):
+        return float(kernel_entries(s, np.array([r]))[1][0])
+
+    points = [x for x in (1.0, 10.0, 60.0, 200.0) if x < h] or None
+    i0 = quad(k01, 0, h, points=points, **options)[0]
+    i1 = quad(lambda s: (h - s) * k01(s), 0, h, points=points, **options)[0]
+    return i0, i1 / h
+
+
+class TestForcingWeights:
+    RADII = (0.0, 1e-3, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 20.0)
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_matches_quadrature(self, r):
+        for h in np.geomspace(1e-8, 1e3, 23):
+            i0, i1, j0, j1 = forcing_weights(float(h), np.array([r]))
+            o0, o1 = _weights_oracle(float(h), r)
+            assert i0[0] == pytest.approx(o0, rel=1e-9, abs=0.0), h
+            assert i1[0] == pytest.approx(o1, rel=1e-9, abs=0.0), h
+            assert j1[0] == pytest.approx(o0 / h, rel=1e-9, abs=0.0), h
+            assert j0[0] == kernel_entries(float(h), np.array([r]))[1][0]
+
+    def test_zero_frequency_closed_form(self):
+        for h in (1.5, 16.0, 300.0):
+            i0, i1, _, _ = forcing_weights(h, np.array([0.0]))
+            assert i0[0] == pytest.approx(h - 1 + math.exp(-h), rel=1e-14)
+            assert i1[0] == pytest.approx(
+                (h * h / 2 - h + 1 - math.exp(-h)) / h, rel=1e-14)
+
+    def test_vectorized_matches_scalar_across_regimes(self):
+        radii = np.concatenate(([0.0], np.geomspace(1e-4, 1e2, 200)))
+        for h in (0.02, 0.7, 1.3, 21.0):
+            together = forcing_weights(h, radii)
+            alone = [forcing_weights(h, np.array([r])) for r in radii]
+            for k in range(4):
+                np.testing.assert_array_equal(together[k],
+                                              [w[k][0] for w in alone])
+
+    def test_entries_argument_is_kernel_entries(self):
+        r = np.geomspace(1e-3, 30.0, 50)
+        given = forcing_weights(3.0, r, entries=kernel_entries(3.0, r))
+        for a, b in zip(given, forcing_weights(3.0, r)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_nonpositive_step_rejected(self):
+        for h in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                forcing_weights(h, np.array([1.0]))
 
 
 class TestPointwiseBounds:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from critex import (DomainError, GridSpec, SolverConfig, State, apply_linear,
+from critex import (DomainError, GridSpec, SolverConfig, State,
                     make_initial_data, measure_lifespan, nonlinearity, run,
-                    step, transform_forward)
+                    solver, step, transform_forward)
 from critex.fields import (_forward_coeffs, _inverse_samples, dealias_mask,
-                           wavenumber_magnitude)
-from critex.propagators import kernel_entries
-from critex.solver import (STATUS_COMPLETED, STATUS_STEP_UNDERFLOW, _norm_weights,
-                           _norms, energy, linear_reference)
+                           hermitian_weight, wavenumber_magnitude)
+from critex.propagators import forcing_weights, kernel_entries
+from critex.solver import (DEFAULT_GRIDS, STATUS_BLOW_UP, STATUS_COMPLETED,
+                           STATUS_STEP_UNDERFLOW, _norm_weights, _norms,
+                           linear_reference)
 
 
 def small_grid(points=256, length=16 * np.pi):
@@ -51,9 +52,10 @@ class TestStep:
         state = smooth_state(grid, amplitude=0.0)
         config = SolverConfig(p=2.0, eps=0.0, dt=0.1, t_end=1.0)
         stepped = step(state, 0.1, config)
-        lin_u, lin_ut = apply_linear((state.u_hat, state.ut_hat), 0.1)
-        assert np.max(np.abs(stepped.u_hat.coeffs - lin_u.coeffs)) < 1e-14
-        assert np.max(np.abs(stepped.ut_hat.coeffs - lin_ut.coeffs)) < 1e-14
+        k00, k01, k10, k11 = kernel_entries(0.1, wavenumber_magnitude(grid))
+        u, ut = state.u_hat.coeffs, state.ut_hat.coeffs
+        assert np.max(np.abs(stepped.u_hat.coeffs - (k00 * u + k01 * ut))) < 1e-14
+        assert np.max(np.abs(stepped.ut_hat.coeffs - (k10 * u + k11 * ut))) < 1e-14
 
     def test_zero_state_stays_zero(self):
         grid = small_grid()
@@ -135,12 +137,19 @@ class TestForcingStructure:
 
 class TestEnergy:
     def test_linear_energy_dissipates(self):
+        # 0.5 (||u_t||^2 + ||grad u||^2) is nonincreasing along the linear flow
         grid = small_grid()
         state = smooth_state(grid)
+        u, ut = state.u_hat.coeffs, state.ut_hat.coeffs
+        mult = hermitian_weight(grid)
+        kmag = wavenumber_magnitude(grid)
         energies = []
         for t in np.linspace(0.0, 5.0, 21):
-            u, ut = apply_linear((state.u_hat, state.ut_hat), float(t))
-            energies.append(energy(State(u, ut, float(t))))
+            k00, k01, k10, k11 = kernel_entries(float(t), kmag)
+            new_u, new_ut = k00 * u + k01 * ut, k10 * u + k11 * ut
+            energies.append(0.5 * np.sum(mult * (np.abs(new_ut) ** 2
+                                                 + kmag ** 2 * np.abs(new_u) ** 2)))
+        assert energies[-1] < 0.5 * energies[0]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(energies, energies[1:]))
 
 
@@ -262,10 +271,9 @@ class TestRun:
 
 
 def complex_fft_lifespan(config, u0, u1, grid):
-    """Lifespan from the full complex-spectrum scheme: ``fftn``/``ifftn``
-    with the dealias mask applied to every transform, under the solver's
-    step control."""
-    from critex.propagators import kernel_entries
+    """Lifespan from the full complex-spectrum ETD2 scheme: ``fftn``/``ifftn``
+    with the dealias mask applied to every transform, the library's kernel
+    and forcing weights, under the solver's step control."""
     from critex.solver import (_QUIET_AMPLITUDE_RATIO, _REGROWTH_STREAK,
                                _STEP_CAP_FRACTION)
     scale = grid.length ** (grid.dim / 2) / grid.points ** grid.dim
@@ -287,11 +295,12 @@ def complex_fft_lifespan(config, u0, u1, grid):
     while t < config.t_end * (1.0 - 1e-12):
         h_try = min(h, config.t_end - t)
         k00, k01, k10, k11 = kernel_entries(h_try, kmag)
+        i0, i1, j0, j1 = forcing_weights(h_try, kmag)
         f0 = forcing(u_phys)
-        lin_u, lin_ut = k00 * u + k01 * ut, k10 * u + k11 * ut
-        fh = forcing(physical(lin_u + h_try * k01 * f0))
-        u_new = lin_u + 0.5 * h_try * k01 * f0
-        ut_new = lin_ut + 0.5 * h_try * (k11 * f0 + fh)
+        pred = k00 * u + k01 * ut + i0 * f0
+        df = forcing(physical(pred)) - f0
+        u_new = pred + i1 * df
+        ut_new = k10 * u + k11 * ut + j0 * f0 + j1 * df
         new_phys = physical(u_new)
         max_new = float(np.max(np.abs(new_phys)))
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
@@ -322,3 +331,26 @@ class TestHalfSpectrumAgainstComplexFFT:
         expected = complex_fft_lifespan(config, data, data, grid)
         assert math.isfinite(expected)
         assert result.lifespan == pytest.approx(expected, rel=1e-12)
+
+
+class TestLifespanAccuracy:
+    def test_step_cap_bias_under_one_percent(self, monkeypatch):
+        # the default cap against cap 1/256 at eps = 7e-3 on the default
+        # 1-D grid: the step bias of T, measured rather than assumed
+        grid = DEFAULT_GRIDS[1]
+        data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+        config = SolverConfig(p=2.0, eps=7e-3, dt=0.02, t_end=2e4)
+
+        def lifespan():
+            times = []
+            result = run(config, data, data, grid, 1.0, 0.5,
+                         observer=lambda t, _: times.append(t))
+            assert result.status == STATUS_BLOW_UP
+            return result.lifespan, len(times) - 1
+
+        default, steps = lifespan()
+        monkeypatch.setattr(solver, "_STEP_CAP_FRACTION", 1.0 / 256.0)
+        reference, fine_steps = lifespan()
+        assert steps <= 250
+        assert fine_steps > 4 * steps
+        assert abs(default - reference) <= 0.01 * reference
