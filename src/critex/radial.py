@@ -5,20 +5,20 @@ frequencies.  Norms come from the radial Plancherel identity
 
     ||f||_{H^s}^2 = sigma_{n-1} * Int r^{2s+n-1} |v_hat(r)|^2 dr,
 
-with sigma_{n-1} = 2 pi^{n/2} / Gamma(n/2) the unit-sphere area, evaluated
-by composite trapezoid on the log abscissa (uniform relative accuracy for
-power-law integrands).  The dimension n is an ordinary real parameter, so
-decay rates can be probed in any dimension without a grid.  The low end of
-the default grid (r_min = 1e-6) supplies the low-frequency continuum that
-produces algebraic decay, which no periodic box can.
+with sigma_{n-1} = 2 pi^{n/2} / Gamma(n/2) the unit-sphere area (Gamma from
+math.gamma), evaluated by composite trapezoid on the log abscissa (uniform
+relative accuracy for power-law integrands).  The dimension n is an ordinary
+real parameter, so decay rates can be probed in any dimension without a grid.
+The low end of the default grid (r_min = 1e-6) supplies the low-frequency
+continuum that produces algebraic decay, which no periodic box can.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_function
 
 from .errors import AccuracyError, ContractError, DomainError, InsufficientDataError
 from .propagators import propagate
@@ -31,7 +31,7 @@ DEFAULT_FIT_WINDOW = (1e2, 1e4)
 
 def sphere_surface(n: float) -> float:
     """Surface measure of the unit sphere in dimension n (real n >= 1)."""
-    return 2.0 * np.pi ** (n / 2.0) / gamma_function(n / 2.0)
+    return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def log_radial_grid(r_min: float = DEFAULT_R_MIN, r_max: float = DEFAULT_R_MAX,
@@ -131,11 +131,6 @@ class RateFit:
 # norms
 # ---------------------------------------------------------------------------
 
-def _log_integrand(profile: RadialProfile, s: float) -> np.ndarray:
-    # integrand against d(log r): r * (r^{2s+n-1} |v|^2)
-    return profile.r ** (2.0 * s + profile.dim) * np.abs(profile.values) ** 2
-
-
 def _check_tail(g: np.ndarray, where: str) -> None:
     peak = float(np.max(g))
     if peak == 0.0:
@@ -151,13 +146,19 @@ def _check_tail(g: np.ndarray, where: str) -> None:
             "captured by the represented range")
 
 
-def norm_radial(profile: RadialProfile, s: float) -> float:
-    """Radial Plancherel norm of order s; rejects divergent integrands."""
-    g = _log_integrand(profile, s)
+def _plancherel(values: np.ndarray, weight: np.ndarray, log_r: np.ndarray,
+                sigma: float) -> float:
+    # norm_radial given r^{2s+n} (the weight on d log r), log r and sigma per curve
+    g = weight * np.abs(values) ** 2
     _check_tail(g, "inner")
     _check_tail(g, "outer")
-    integral = np.trapezoid(g, x=np.log(profile.r))
-    return float(np.sqrt(sphere_surface(profile.dim) * integral))
+    return float(np.sqrt(sigma * np.trapezoid(g, x=log_r)))
+
+
+def norm_radial(profile: RadialProfile, s: float) -> float:
+    """Radial Plancherel norm of order s; rejects divergent integrands."""
+    return _plancherel(profile.values, profile.r ** (2.0 * s + profile.dim),
+                       np.log(profile.r), sphere_surface(profile.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +176,13 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
         norm_radial(profile, -gamma)
     times = np.asarray(times, dtype=float)
     norms = np.empty_like(times)
+    weight, log_r, sigma = (v0.r ** (2.0 * s + v0.dim), np.log(v0.r),
+                            sphere_surface(v0.dim))
     for i, t in enumerate(times):
         flow = propagate(kind, float(t), v0.r, v0.values, v1.values)
-        norms[i] = norm_radial(v0.with_values(flow), s)
+        if not np.isfinite(flow).all():
+            raise ContractError("profile values must be finite")
+        norms[i] = _plancherel(flow, weight, log_r, sigma)
     return DecayCurve(times, norms, s, gamma, kind=kind)
 
 

@@ -1,8 +1,11 @@
 import inspect
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,21 @@ class TestExponentsCommand:
         code, _, err = run_cli(capsys, "exponents", "--n", "2")
         assert code == 2
         assert "--gamma" in err
+
+
+def test_import_path_has_no_scipy():
+    # critex needs only numpy and the stdlib at run time; scipy is a test extra
+    script = (
+        "import sys\n"
+        "import critex, critex.cli\n"
+        "critex.norm_radial(critex.power_law_profile(2, 0.25), 1.0)\n"
+        "assert critex.cli.main(['exponents', '--n', '2', '--gamma', '0.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestProbeCommand:

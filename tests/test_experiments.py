@@ -4,7 +4,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from critex import DomainError, GridSpec, RegimeParams, experiments, p_crit, solver
+from critex import (DomainError, GridSpec, RegimeParams, experiments, p_crit, radial,
+                    solver)
 from critex.errors import InsufficientDataError
 from critex.experiments import TestFunctionSpec as CutoffSpec
 from critex.experiments import (build_profile,
@@ -74,6 +75,25 @@ class TestSuites:
     def test_gamma_domain(self):
         with pytest.raises(DomainError):
             run_decay_suite(2, 1.2, 1.0, "powerlaw:a=0.25")
+
+    def test_suites_call_the_public_curves(self, monkeypatch):
+        # the benchmark's radial.*_ms spans time these three functions
+        names = ("evolve_damped", "evolve_heat", "diffusion_difference")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(radial, name, counted(name, getattr(radial, name)))
+        run_decay_suite(2, 0.7, 1.0, "powerlaw:a=0.25", t0=10.0, t1=1e4, points=48)
+        assert calls == {"evolve_damped": 2, "evolve_heat": 0, "diffusion_difference": 0}
+        calls.update(dict.fromkeys(names, 0))
+        run_diffusion_suite(2, 0.7, 0.0, "powerlaw:a=0.25", t0=10.0, t1=1e4, points=48)
+        assert calls == dict.fromkeys(names, 1)
 
 
 class TestSweep:

@@ -59,6 +59,20 @@ class TestNormRadial:
             RadialProfile(0.5, r, np.ones(64, dtype=complex))
 
 
+class TestSphereSurface:
+    @pytest.mark.parametrize("n, closed_form", [
+        (1, 2.0), (2, 2 * np.pi), (3, 4 * np.pi), (4, 2 * np.pi ** 2),
+        (5, 8 * np.pi ** 2 / 3), (6, np.pi ** 3)])
+    def test_closed_forms(self, n, closed_form):
+        assert sphere_surface(n) == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1.5, 2.5, 3.7])
+    def test_recurrence_in_real_dimension(self, n):
+        # sigma_{n+1} = 2 pi sigma_{n-1} / n, from Gamma(x + 1) = x Gamma(x)
+        assert sphere_surface(n + 2) == pytest.approx(
+            2 * np.pi * sphere_surface(n) / n, rel=1e-15, abs=0.0)
+
+
 class TestHeatEvolution:
     def test_initial_norm_is_merged_data(self):
         v0 = power_law_profile(2, 0.25)
@@ -86,6 +100,14 @@ class TestHeatEvolution:
         curve = evolve_heat(v0, v1, times, 0.0, 0.7)
         expected = np.sqrt(np.pi / 2) / np.sqrt(1.0 + times)
         np.testing.assert_allclose(curve.norms, expected, rtol=1e-6)
+
+    def test_rejects_nonfinite_flow(self):
+        # finite data whose heat flow v0 + v1 overflows at t = 0
+        r = log_radial_grid(points=64)
+        big = RadialProfile(2, r, np.full(64, 1e308, dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ContractError, match="finite"):
+            evolve_heat(big, big, np.array([0.0]), 0.0, 0.5)
 
 
 class TestDampedEvolution:
