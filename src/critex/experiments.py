@@ -21,7 +21,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -274,10 +274,11 @@ def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
         outcomes = [_lifespan_point(p) for p in payloads]
     rows = tuple(SweepRow(eps, lifespan, status) for eps, lifespan, status in outcomes)
 
-    blow_up = [r for r in rows if r.status in (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW)]
+    unfitted = SweepResult(rows, None, None, None, None, refused=True,
+                           regime=Regime.GLOBAL_EXISTENCE.value)
+    blow_up = unfitted.blow_up_rows()
     if supercritical:
-        regime = Regime.GLOBAL_EXISTENCE.value if not blow_up else "Mixed"
-        return SweepResult(rows, None, None, None, None, refused=True, regime=regime)
+        return unfitted if not blow_up else replace(unfitted, regime="Mixed")
 
     if len(blow_up) < 4:
         raise InsufficientDataError(
@@ -294,24 +295,6 @@ def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # scaled-cutoff blow-up functional
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """Scaled space-time cutoffs: radius R, with the parameter tuple they test.
-
-    The time cutoff equals 1 on [0, 1/2], 0 on [1, inf), with a fixed smooth
-    bump transition in between; space weight (1 + |x/R|^2)^{-n/2}.
-    """
-
-    R: float
-    n: int
-    gamma: float
-    p: float
-
-    def __post_init__(self):
-        if self.R < 1:
-            raise DomainError(f"scaling radius must satisfy R >= 1, got {self.R}")
-
 
 def time_cutoff(u: np.ndarray | float) -> np.ndarray | float:
     """Smooth cutoff: 1 on [0, 1/2], exp(1 - 1/(1 - (2u-1)^2)) on (1/2, 1), 0 beyond."""
@@ -349,16 +332,22 @@ def _evolve_config(run_dir: Path) -> dict:
     return config
 
 
-def evaluate_testfn_functional(run_dir: str | Path,
-                               specs: list[TestFunctionSpec]) -> dict:
-    """Evaluate the cutoff functional on a stored trajectory.
+def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
+    """Evaluate the cutoff functional of a stored trajectory at scaling radii.
 
-    For each spec computes  I_R = Int Int |u|^p phi_R eta_R dx dt  by
-    trapezoid over the stored physical snapshots, the data term
-    D_R = eps * Int (u0 + u1) phi_R dx with evolve's u1 = u0, and the bound term
+    The cutoffs are phi_R = ``space_weight`` and eta_R = ``time_cutoff(t/R^2)``,
+    with n = dim, gamma and p read from the run's ``config.json``.  For each
+    R >= 1 computes  I_R = Int Int |u|^p phi_R eta_R dx dt  by trapezoid over
+    the stored physical snapshots, the data term D_R = eps * Int (u0 + u1)
+    phi_R dx with evolve's u1 = u0, and the bound term
     B_R = (C/p') R^{n+2-2p'} with C calibrated so the two terms touch at
     the first R; reports the contradiction window D_R > B_R per R.
     """
+    radii = [float(R) for R in radii]
+    if not radii:
+        raise DomainError("need at least one scaling radius")
+    if min(radii) < 1:
+        raise DomainError(f"scaling radii must satisfy R >= 1, got {min(radii)}")
     run_dir = Path(run_dir)
     config = _evolve_config(run_dir)
     with np.load(run_dir / "snapshots.npz") as archive:
@@ -366,42 +355,39 @@ def evaluate_testfn_functional(run_dir: str | Path,
         fields = archive["fields"]
         u0 = archive["u0"]
 
-    grid = GridSpec(dim=int(config["dim"]), length=float(config["L"]),
-                    points=int(config["N"]))
+    n, gamma, p = int(config["dim"]), float(config["gamma"]), float(config["p"])
+    grid = GridSpec(dim=n, length=float(config["L"]), points=int(config["N"]))
     eps = float(config["eps"])
-    if not specs:
-        raise DomainError("need at least one cutoff spec")
     radius_sq = _radius_squared(grid)
     cell = grid.cell_volume
+    p_conj = conjugate_exponent(p)
+    growth = n + 2.0 - 2.0 * p_conj
 
-    first = specs[0]
-    gate = exponent_gate(first.n, first.gamma, first.p)
     calibration = None
     rows = []
-    for spec in specs:
-        horizon = spec.R ** 2
+    for R in radii:
+        horizon = R ** 2
         if snapshot_times[-1] < horizon:
             raise DomainError(
-                f"stored trajectory covers t <= {snapshot_times[-1]!r} but R = {spec.R} "
+                f"stored trajectory covers t <= {snapshot_times[-1]!r} but R = {R} "
                 f"needs t in [0, {horizon!r}]")
-        phi = space_weight(radius_sq, spec.R, spec.n)
+        phi = space_weight(radius_sq, R, n)
         eta = time_cutoff(snapshot_times / horizon)
         mask = snapshot_times <= horizon
         space_integrals = np.array([
-            float(np.sum(np.abs(fields[j]) ** spec.p * phi)) * cell
+            float(np.sum(np.abs(fields[j]) ** p * phi)) * cell
             for j in np.nonzero(mask)[0]])
         i_r = float(np.trapezoid(space_integrals * eta[mask], x=snapshot_times[mask]))
 
         d_r = eps * float(np.sum(2.0 * u0 * phi)) * cell
-        p_conj = conjugate_exponent(spec.p)
-        growth = spec.n + 2.0 - 2.0 * p_conj
         if calibration is None:
-            calibration = p_conj * d_r / spec.R ** growth
-        b_r = calibration / p_conj * spec.R ** growth
-        rows.append({"R": spec.R, "I_R": i_r, "D_R": d_r, "B_R": b_r,
+            calibration = p_conj * d_r / R ** growth
+        b_r = calibration / p_conj * R ** growth
+        rows.append({"R": R, "I_R": i_r, "D_R": d_r, "B_R": b_r,
                      "contradiction": bool(d_r > b_r)})
 
-    return {"exponent_gate": gate, "calibrated_C": calibration, "rows": rows}
+    return {"exponent_gate": exponent_gate(n, gamma, p), "calibrated_C": calibration,
+            "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +580,7 @@ def experiment_testfn(run: Path, R: list[float],
                       out: str | None = None) -> tuple[Path, dict]:
     """Cutoff functional at the scaling radii ``R`` on a stored evolve run."""
     params = {**locals(), "run": str(run), "R": list(R)}
-    source_config = _evolve_config(Path(run))
-    specs = [TestFunctionSpec(R=float(r), n=int(source_config["dim"]),
-                              gamma=float(source_config["gamma"]),
-                              p=float(source_config["p"]))
-             for r in R]
-    report = evaluate_testfn_functional(run, specs)
+    report = evaluate_testfn_functional(run, R)
     run_dir = _open_run("testfn", params)
     write_json(run_dir / "report.json", report)
     return run_dir, report

@@ -15,12 +15,13 @@ the physical norm
 
 where the Hermitian multiplicity w_k counts how many full-spectrum modes a
 stored mode stands for: 2 for interior last-axis modes, 1 on the k_last = 0
-and Nyquist planes, which hold their own conjugates.  Every sum over modes
-carries this weight.  The zero-order homogeneous norm equals the L2 norm on
-mean-zero fields.  Homogeneous norms of negative order exclude the k = 0
-mode and demand a nearly mean-free field: on the torus the continuum norm
-diverges for nonzero mean, so the bias of dropping the single discrete zero
-mode is made explicit instead of hidden.
+and Nyquist planes, which hold their own conjugates.  Every norm is a
+``weighted_norms`` sum against ``hermitian_weight`` or ``norm_weights``, so
+it carries this weight.  Sobolev norms are homogeneous only: weight |k|^(2s)
+with k = 0 excluded, so order zero is the L2 norm of the mean-free part.
+Negative orders demand a nearly mean-free field: on the torus the continuum
+norm diverges for nonzero mean, so the bias of dropping the single discrete
+zero mode is made explicit instead of hidden.
 """
 
 from __future__ import annotations
@@ -148,14 +149,6 @@ class SpectrumField:
             raise ContractError("non-finite coefficients in a field not flagged diverged")
 
 
-@dataclass(frozen=True)
-class NormOrder:
-    """Sobolev order: ``s`` (negative allowed) and homogeneous/inhomogeneous."""
-
-    s: float
-    homogeneous: bool = True
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -202,48 +195,41 @@ def transform_inverse(field: SpectrumField) -> np.ndarray:
 # norms
 # ---------------------------------------------------------------------------
 
-def _weighted_mag_sq(field: SpectrumField) -> np.ndarray:
-    """w_k |c_k|^2: each stored mode's share of the full-spectrum sum."""
-    return hermitian_weight(field.grid) * np.abs(field.coeffs) ** 2
+def norm_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """Weights w_k |k|^(2s) of the homogeneous order-s sum; k = 0 gets 0."""
+    with np.errstate(divide="ignore"):
+        weights = hermitian_weight(grid) * wavenumber_magnitude(grid) ** (2.0 * s)
+    weights[(0,) * grid.dim] = 0.0
+    return weights
 
 
-def sobolev_norm(field: SpectrumField, order: NormOrder | float) -> float:
-    """Sobolev norm of the given order under the unitary convention.
+def weighted_norms(coeffs: np.ndarray, weights) -> list[float]:
+    """sqrt(sum_k w_k |c_k|^2) for each weight array w."""
+    mag_sq = np.abs(coeffs) ** 2
+    return [float(np.sqrt(np.sum(w * mag_sq))) for w in weights]
 
-    Homogeneous orders sum |k|^(2s) |c_k|^2 over k != 0; negative orders
-    additionally require the zero mode to carry at most ``ZERO_MODE_TOLERANCE``
-    of the field's L2 mass (remove the mean first if this trips).
-    Inhomogeneous orders use the weight (1 + |k|^2)^s including k = 0.
-    Every sum runs over the full spectrum through the Hermitian weights.
+
+def sobolev_norm(field: SpectrumField, s: float) -> float:
+    """Homogeneous Sobolev norm of order s under the unitary convention.
+
+    Sums |k|^(2s) |c_k|^2 over k != 0 through ``norm_weights``; negative
+    orders additionally require the zero mode to carry at most
+    ``ZERO_MODE_TOLERANCE`` of the field's L2 mass (remove the mean first if
+    this trips).
     """
-    if not isinstance(order, NormOrder):
-        order = NormOrder(float(order))
-    mag_sq = _weighted_mag_sq(field)
-    kmag = wavenumber_magnitude(field.grid)
-
-    if not order.homogeneous:
-        return float(np.sqrt(np.sum((1.0 + kmag ** 2) ** order.s * mag_sq)))
-
-    total = float(np.sum(mag_sq))
-    zero_index = (0,) * field.grid.dim
-    if order.s < 0:
-        zero_mass = abs(field.coeffs[zero_index])
-        l2 = np.sqrt(total)
+    if s < 0:
+        zero_mass = abs(field.coeffs[(0,) * field.grid.dim])
+        l2 = l2_norm(field)
         if l2 > 0 and zero_mass > ZERO_MODE_TOLERANCE * l2:
             raise DomainError(
                 f"zero mode carries {zero_mass:.3e} of L2 mass {l2:.3e}: homogeneous "
                 f"negative orders require a mean-free field; remove the mean first")
-    if order.s == 0:
-        return float(np.sqrt(max(total - mag_sq[zero_index], 0.0)))
-    with np.errstate(divide="ignore"):
-        weights = kmag ** (2.0 * order.s)
-    weights[zero_index] = 0.0
-    return float(np.sqrt(np.sum(weights * mag_sq)))
+    return weighted_norms(field.coeffs, [norm_weights(field.grid, s)])[0]
 
 
 def l2_norm(field: SpectrumField) -> float:
     """Physical L2 norm (includes the mean mode)."""
-    return float(np.sqrt(np.sum(_weighted_mag_sq(field))))
+    return weighted_norms(field.coeffs, [hermitian_weight(field.grid)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def log_radial_grid(r_min: float = DEFAULT_R_MIN, r_max: float = DEFAULT_R_MAX,
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled radial spectral function r -> v_hat(r) in dimension ``dim``."""
+    """Real sampled radial spectral function r -> v_hat(r) in dimension ``dim``."""
 
     dim: float
     r: np.ndarray
@@ -57,7 +57,9 @@ class RadialProfile:
             raise ContractError("radial grid must be a 1-d array with >= 8 points")
         if r[0] <= 0 or np.any(np.diff(r) <= 0):
             raise ContractError("radial grid must be strictly increasing with r[0] > 0")
-        values = np.asarray(self.values, dtype=np.complex128)
+        if np.iscomplexobj(self.values):
+            raise ContractError("profile values are a real radial transform, got complex")
+        values = np.asarray(self.values, dtype=float)
         if values.shape != r.shape:
             raise ContractError(
                 f"values shape {values.shape} does not match grid {r.shape}")
@@ -75,14 +77,14 @@ def power_law_profile(dim: float, exponent: float,
     """v_hat(r) = r^-exponent on (0, cutoff], zero beyond."""
     r = log_radial_grid() if r is None else np.asarray(r, dtype=float)
     values = np.where(r <= cutoff, r ** (-exponent), 0.0)
-    return RadialProfile(dim, r, values.astype(np.complex128))
+    return RadialProfile(dim, r, values)
 
 
 def gaussian_profile(dim: float, width: float = 1.0,
                      r: np.ndarray | None = None) -> RadialProfile:
     """v_hat(r) = exp(-(width * r)^2)."""
     r = log_radial_grid() if r is None else np.asarray(r, dtype=float)
-    return RadialProfile(dim, r, np.exp(-(width * r) ** 2).astype(np.complex128))
+    return RadialProfile(dim, r, np.exp(-(width * r) ** 2))
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .fields import (GridSpec, SpectrumField, _forward_coeffs, _irfftn, _rfftn,
-                     _unitary_scales, dealias_mask, hermitian_weight,
-                     wavenumber_magnitude)
+                     _unitary_scales, dealias_mask, hermitian_weight, norm_weights,
+                     wavenumber_magnitude, weighted_norms)
 from .propagators import forcing_weights, kernel_entries, propagate
 
 STATUS_COMPLETED = "Completed"
@@ -195,23 +195,9 @@ def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
     return _Workspace(grid, dealias)
 
 
-def _norm_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
-    """Weights of the recorded L2, H^s and H^-gamma sums, Hermitian
-    multiplicity included; the last two skip k = 0."""
-    mult = hermitian_weight(grid)
-    kmag = wavenumber_magnitude(grid)
-    zero = (0,) * grid.dim
-    with np.errstate(divide="ignore"):
-        w_s = mult * kmag ** (2.0 * s)
-        w_neg = mult * kmag ** (-2.0 * gamma)
-    w_s[zero] = 0.0
-    w_neg[zero] = 0.0
-    return mult, w_s, w_neg
-
-
-def _norms(coeffs: np.ndarray, weights: tuple) -> list[float]:
-    mag_sq = np.abs(coeffs) ** 2
-    return [float(np.sqrt(np.sum(w * mag_sq))) for w in weights]
+def _history_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
+    """Weights of the recorded L2, H^s and H^-gamma norms."""
+    return hermitian_weight(grid), norm_weights(grid, s), norm_weights(grid, -gamma)
 
 
 def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
@@ -277,7 +263,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         raise ContractError("initial data shape does not match the grid")
 
     ws = _workspace(grid, config.dealias)
-    weights = _norm_weights(grid, s, gamma)
+    weights = _history_weights(grid, s, gamma)
     u = _forward_coeffs(config.eps * u0, grid)
     ut = _forward_coeffs(config.eps * u1, grid)
     u_phys = ws.physical(u)
@@ -289,7 +275,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         nonlocal weighted_sup
         if times and t <= times[-1]:
             return
-        l2, hs, hneg = _norms(coeffs, weights)
+        l2, hs, hneg = weighted_norms(coeffs, weights)
         times.append(t)
         l2s.append(l2)
         hss.append(hs)
@@ -378,10 +364,10 @@ def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,
 
     Returns arrays (l2, hs, hneg) for the data pair (eps*u0, eps*u1).
     """
-    weights = _norm_weights(grid, s, gamma)
+    weights = _history_weights(grid, s, gamma)
     kmag = wavenumber_magnitude(grid)
     u = _forward_coeffs(eps * np.asarray(u0, dtype=float), grid)
     ut = _forward_coeffs(eps * np.asarray(u1, dtype=float), grid)
-    rows = [_norms(propagate("damped", float(t), kmag, u, ut), weights)
+    rows = [weighted_norms(propagate("damped", float(t), kmag, u, ut), weights)
             for t in np.asarray(times, dtype=float)]
     return tuple(np.asarray(rows, dtype=float).reshape(-1, 3).T.copy())

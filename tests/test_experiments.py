@@ -7,7 +7,6 @@ import pytest
 from critex import (DomainError, GridSpec, RegimeParams, experiments, p_crit, radial,
                     solver)
 from critex.errors import InsufficientDataError
-from critex.experiments import TestFunctionSpec as CutoffSpec
 from critex.experiments import (build_profile,
                                 emit_phase_diagram, evaluate_testfn_functional,
                                 experiment_evolve, experiment_lifespan,
@@ -374,9 +373,7 @@ class TestTestFunctionFunctional:
                                        eps=0.0, gamma=0.5, s=1.0, dt=0.05,
                                        tend=5.0, snapshots=16,
                                        out=str(tmp_path))
-        specs = [CutoffSpec(R=1.0, n=1, gamma=0.5, p=2.0),
-                 CutoffSpec(R=2.0, n=1, gamma=0.5, p=2.0)]
-        report = evaluate_testfn_functional(run_dir, specs)
+        report = evaluate_testfn_functional(run_dir, [1.0, 2.0])
         assert all(row["I_R"] == 0.0 for row in report["rows"])
 
     def test_subcritical_functional_increases(self, tmp_path):
@@ -398,21 +395,20 @@ class TestTestFunctionFunctional:
                                        tend=2.0, snapshots=8,
                                        out=str(tmp_path))
         with pytest.raises(DomainError):
-            evaluate_testfn_functional(
-                run_dir, [CutoffSpec(R=3.0, n=1, gamma=0.5, p=2.0)])
+            evaluate_testfn_functional(run_dir, [3.0])
 
-    def test_spec_validation(self):
+    def test_spec_validation(self, tmp_path):
+        with pytest.raises(DomainError, match="R >= 1"):
+            evaluate_testfn_functional(tmp_path, [2.0, 0.5])
         with pytest.raises(DomainError):
-            CutoffSpec(R=0.5, n=1, gamma=0.5, p=2.0)
+            evaluate_testfn_functional(tmp_path, [])
 
     def test_calibration_touches_first_radius(self, tmp_path):
         run_dir, _ = experiment_evolve(dim=1, N=512, L=50 * np.pi, p=2.0,
                                        eps=0.1, gamma=0.5, s=1.0, dt=0.05,
                                        tend=10.0, snapshots=32,
                                        out=str(tmp_path))
-        specs = [CutoffSpec(R=float(r), n=1, gamma=0.5, p=2.0)
-                 for r in (1.5, 3.0)]
-        report = evaluate_testfn_functional(run_dir, specs)
+        report = evaluate_testfn_functional(run_dir, [1.5, 3.0])
         first = report["rows"][0]
         assert first["B_R"] == pytest.approx(first["D_R"], rel=1e-12)
         # subcritical: beyond the calibration radius the data term wins

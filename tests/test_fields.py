@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from critex import (ContractError, DomainError, GridSpec, NormOrder,
-                    SpectrumField, make_initial_data, sobolev_norm,
-                    transform_forward, transform_inverse)
+from critex import (ContractError, DomainError, GridSpec, SpectrumField,
+                    make_initial_data, sobolev_norm, transform_forward,
+                    transform_inverse)
 from critex.fields import (axis_coordinates, dealias_mask, hermitian_weight,
                            l2_norm, wavenumber_magnitude)
 
@@ -130,8 +130,6 @@ class TestHalfLayout:
             assert abs(nyquist) > 1.0
             physical_sq = physical_l2(samples, grid) ** 2
             assert l2_norm(field) ** 2 == pytest.approx(physical_sq, rel=1e-12)
-            assert sobolev_norm(field, NormOrder(0.0, homogeneous=False)) ** 2 \
-                == pytest.approx(physical_sq, rel=1e-12)
 
     def test_round_trip_with_nyquist_content(self):
         rng = np.random.default_rng(32)
@@ -207,17 +205,8 @@ class TestSobolevNorm:
         field = transform_forward(np.ones(grid.shape), grid)
         with pytest.raises(DomainError, match="mean"):
             sobolev_norm(field, -0.5)
-        # inhomogeneous negative order tolerates the mean
-        assert sobolev_norm(field, NormOrder(-0.5, homogeneous=False)) > 0
-
-    def test_inhomogeneous_order(self):
-        grid = GridSpec(dim=1, length=2 * np.pi, points=64)
-        samples = make_initial_data("single_mode", grid, mode=2, amplitude=1.0)
-        field = transform_forward(samples, grid)
-        base = l2_norm(field)
-        expected = (1 + 4.0) ** 0.5 * base
-        assert sobolev_norm(field, NormOrder(1.0, homogeneous=False)) \
-            == pytest.approx(expected, rel=1e-12)
+        # nonnegative orders are homogeneous too: the mean carries no weight
+        assert sobolev_norm(field, 0.0) == sobolev_norm(field, 0.5) == 0.0
 
 
 class TestInitialData:

@@ -39,24 +39,27 @@ class TestNormRadial:
 
     def test_rejects_outer_growth(self):
         r = log_radial_grid(points=512)
-        profile = RadialProfile(2, r, (r ** 1.0).astype(complex))
+        profile = RadialProfile(2, r, r ** 1.0)
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
     def test_rejects_inner_divergence(self):
         r = log_radial_grid(points=512)
-        profile = RadialProfile(1, r, (r ** -2.0).astype(complex))
+        profile = RadialProfile(1, r, r ** -2.0)
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
     def test_profile_validation(self):
         r = log_radial_grid(points=64)
         with pytest.raises(ContractError):
-            RadialProfile(2, r[::-1].copy(), np.ones(64, dtype=complex))
+            RadialProfile(2, r[::-1].copy(), np.ones(64))
         with pytest.raises(ContractError):
-            RadialProfile(2, r, np.ones(32, dtype=complex))
+            RadialProfile(2, r, np.ones(32))
         with pytest.raises(DomainError):
-            RadialProfile(0.5, r, np.ones(64, dtype=complex))
+            RadialProfile(0.5, r, np.ones(64))
+        # a real transform: complex input is rejected, not silently cast
+        with pytest.raises(ContractError, match="complex"):
+            RadialProfile(2, r, np.ones(64, dtype=complex))
 
 
 class TestSphereSurface:
@@ -104,7 +107,7 @@ class TestHeatEvolution:
     def test_rejects_nonfinite_flow(self):
         # finite data whose heat flow v0 + v1 overflows at t = 0
         r = log_radial_grid(points=64)
-        big = RadialProfile(2, r, np.full(64, 1e308, dtype=complex))
+        big = RadialProfile(2, r, np.full(64, 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
             evolve_heat(big, big, np.array([0.0]), 0.0, 0.5)

@@ -8,11 +8,11 @@ from critex import (DomainError, GridSpec, SolverConfig, State,
                     make_initial_data, measure_lifespan, nonlinearity, run,
                     solver, step, transform_forward)
 from critex.fields import (_forward_coeffs, _inverse_samples, dealias_mask,
-                           hermitian_weight, wavenumber_magnitude)
+                           hermitian_weight, l2_norm, norm_weights,
+                           sobolev_norm, wavenumber_magnitude, weighted_norms)
 from critex.propagators import forcing_weights, kernel_entries
 from critex.solver import (DEFAULT_GRIDS, STATUS_BLOW_UP, STATUS_COMPLETED,
-                           STATUS_STEP_UNDERFLOW, _norm_weights, _norms,
-                           linear_reference)
+                           STATUS_STEP_UNDERFLOW, linear_reference)
 
 
 def small_grid(points=256, length=16 * np.pi):
@@ -197,14 +197,28 @@ class TestRun:
         times = np.array([0.0, 0.25, 2.0, 30.0])
         u = _forward_coeffs(0.3 * u0, grid)
         ut = _forward_coeffs(0.3 * u1, grid)
-        weights = _norm_weights(grid, 1.0, 0.5)
+        weights = (hermitian_weight(grid), norm_weights(grid, 1.0),
+                   norm_weights(grid, -0.5))
         rows = []
         for t in times:
             k00, k01, _, _ = kernel_entries(float(t), wavenumber_magnitude(grid))
-            rows.append(_norms(k00 * u + k01 * ut, weights))
+            rows.append(weighted_norms(k00 * u + k01 * ut, weights))
         got = linear_reference(u0, u1, grid, 0.3, times, 1.0, 0.5)
         for norms, expected in zip(got, np.array(rows).T):
             np.testing.assert_array_equal(norms, expected)
+
+    def test_history_uses_public_norms(self):
+        # the recorded norms are fields' norms, bit for bit
+        for grid in (small_grid(), GridSpec(dim=2, length=8 * np.pi, points=32)):
+            u0 = make_initial_data("gaussian", grid, amplitude=1.0,
+                                   width=grid.length / 40)
+            u0 -= u0.mean()
+            config = SolverConfig(p=2.0, eps=0.3, dt=0.02, t_end=0.1)
+            result = run(config, u0, u0, grid, 0.75, 0.5)
+            field = transform_forward(config.eps * u0, grid)
+            assert result.l2[0] == l2_norm(field)
+            assert result.hs[0] == sobolev_norm(field, 0.75)
+            assert result.hneg[0] == sobolev_norm(field, -0.5)
 
     def test_history_structure(self):
         grid = small_grid()
