@@ -21,7 +21,6 @@ from .propagators import (PropagatorMatrix, forcing_weights, heat_multiplier,
 from .radial import (DecayCurve, RadialProfile, RateFit, diffusion_difference,
                      evolve_damped, evolve_heat, fit_rate, gaussian_profile,
                      log_radial_grid, norm_radial, power_law_profile)
-from .solver import (RunResult, SolverConfig, State, measure_lifespan,
-                     nonlinearity, run, step)
+from .solver import RunResult, SolverConfig, State, nonlinearity, run, step
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -220,13 +221,11 @@ def fit_sweep_slope(eps: np.ndarray, lifespans: np.ndarray) -> tuple[float, floa
     return float(slope), float(intercept)
 
 
-def _lifespan_point(payload: tuple) -> tuple[float, float, str]:
-    (dim, length, points, gamma, s, p, eps, dt, t_end, theta) = payload
-    grid = GridSpec(dim=dim, length=length, points=points)
+def _lifespan_point(grid: GridSpec, config: SolverConfig, gamma: float,
+                    s: float) -> SweepRow:
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=gamma)
-    config = SolverConfig(p=p, eps=eps, dt=dt, t_end=t_end, theta=theta)
     result = run(config, data, data, grid, s, gamma)
-    return eps, result.lifespan, result.status
+    return SweepRow(config.eps, result.lifespan, result.status)
 
 
 def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
@@ -265,14 +264,14 @@ def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
                 f"parameters violate the sharp-lifespan hypotheses: {failed}")
         predicted = lifespan_exponent(params.p, params.n, params.gamma)
 
-    payloads = [(grid.dim, grid.length, grid.points, params.gamma, params.s,
-                 params.p, eps, dt, t_end, theta) for eps in eps_schedule]
+    configs = [SolverConfig(p=params.p, eps=eps, dt=dt, t_end=t_end, theta=theta)
+               for eps in eps_schedule]
+    point = partial(_lifespan_point, grid, gamma=params.gamma, s=params.s)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_lifespan_point, payloads))
+            rows = tuple(pool.map(point, configs))
     else:
-        outcomes = [_lifespan_point(p) for p in payloads]
-    rows = tuple(SweepRow(eps, lifespan, status) for eps, lifespan, status in outcomes)
+        rows = tuple(map(point, configs))
 
     unfitted = SweepResult(rows, None, None, None, None, refused=True,
                            regime=Regime.GLOBAL_EXISTENCE.value)

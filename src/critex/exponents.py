@@ -55,19 +55,17 @@ class Reason:
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Parameter tuple (n, gamma, s, p, eps) governing every threshold.
+    """Parameter tuple (n, gamma, s, p) governing every threshold.
 
     ``n`` is the spatial dimension (real >= 1 for formula evaluation),
     ``gamma`` the negative-order index of the data norm, ``s`` the positive
-    Sobolev regularity in (0, 1], ``p`` the nonlinearity exponent, and
-    ``eps`` the data size (optional for pure classification).
+    Sobolev regularity in (0, 1], and ``p`` the nonlinearity exponent.
     """
 
     n: float
     gamma: float
     s: float = 1.0
     p: float = 2.0
-    eps: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,8 +76,6 @@ class RegimeParams:
             raise DomainError(f"regularity s must lie in (0, 1], got {self.s}")
         if self.p <= 1:
             raise DomainError(f"exponent p must exceed 1, got {self.p}")
-        if self.eps is not None and self.eps <= 0:
-            raise DomainError(f"data size eps must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +91,6 @@ class RegimeVerdict:
 class AdmissibilityReport(NamedTuple):
     admissible: bool
     reasons: tuple[Reason, ...]
-
-    def __bool__(self) -> bool:  # allow `if report:`
-        return self.admissible
 
 
 class InterpolationWeight(NamedTuple):

@@ -34,11 +34,8 @@ def sphere_surface(n: float) -> float:
     return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def log_radial_grid(r_min: float = DEFAULT_R_MIN, r_max: float = DEFAULT_R_MAX,
-                    points: int = DEFAULT_POINTS) -> np.ndarray:
-    if not (0 < r_min < r_max):
-        raise DomainError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    return np.geomspace(r_min, r_max, points)
+def log_radial_grid(points: int = DEFAULT_POINTS) -> np.ndarray:
+    return np.geomspace(DEFAULT_R_MIN, DEFAULT_R_MAX, points)
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,10 @@ class RadialProfile:
 
 
 def power_law_profile(dim: float, exponent: float,
-                      r: np.ndarray | None = None, cutoff: float = 1.0) -> RadialProfile:
-    """v_hat(r) = r^-exponent on (0, cutoff], zero beyond."""
+                      r: np.ndarray | None = None) -> RadialProfile:
+    """v_hat(r) = r^-exponent on (0, 1], zero beyond."""
     r = log_radial_grid() if r is None else np.asarray(r, dtype=float)
-    values = np.where(r <= cutoff, r ** (-exponent), 0.0)
+    values = np.where(r <= 1.0, r ** (-exponent), 0.0)
     return RadialProfile(dim, r, values)
 
 

@@ -24,7 +24,7 @@ exact action.
 Blow-up has no finite criterion, so a max-amplitude threshold theta stands
 in for norm divergence; near genuine blow-up the measured time is
 insensitive to theta over many orders of magnitude.  Steps halve whenever
-the amplitude grows faster than ``growth_factor`` per step, and double
+the amplitude grows faster than ``_GROWTH_FACTOR`` per step, and double
 after a quiet streak up to t/16; running out of step size
 (StepUnderflow) is reported separately but counted as blow-up by lifespan
 sweeps, since gradient steepening beyond resolvable steps is numerically
@@ -34,7 +34,7 @@ indistinguishable from divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,13 @@ STATUS_STEP_UNDERFLOW = "StepUnderflow"
 LIFESPAN_INFINITE = math.inf
 
 _HISTORY_SAMPLES = 96
+# Step policy: halve when max|u| grows by more than _GROWTH_FACTOR in one
+# step, report StepUnderflow below dt * _DT_MIN_RATIO, and double after
+# _REGROWTH_STREAK accepted steps that grew by at most _QUIET_AMPLITUDE_RATIO.
+_GROWTH_FACTOR = 2.0
+_DT_MIN_RATIO = 1e-10
 _REGROWTH_STREAK = 4
+_QUIET_AMPLITUDE_RATIO = 1.02
 # Past the transient the dynamics slow down with t while the linear
 # propagation and the forcing weights stay exact at any step, so the step
 # may grow to t/16 once the amplitude is quiet; long diffusive runs then
@@ -62,7 +68,6 @@ _STEP_CAP_FRACTION = 1.0 / 16.0
 # Step sizes whose multipliers the workspace keeps: the step control
 # mostly repeats the last size, or returns to the one before a halving.
 _CACHED_STEPS = 2
-_QUIET_AMPLITUDE_RATIO = 1.02
 
 # Default desk-scale grids: the lowest mode must stay small enough that
 # algebraic decay is observable to t ~ 1e3 before the box cuts it off.
@@ -97,10 +102,7 @@ class SolverConfig:
     eps: float
     dt: float
     t_end: float
-    dealias: bool = True
     theta: float = 1e8
-    growth_factor: float = 2.0
-    dt_min_ratio: float = 1e-10
 
     def __post_init__(self):
         if self.p <= 1:
@@ -113,12 +115,6 @@ class SolverConfig:
             raise DomainError(f"horizon must be positive, got {self.t_end}")
         if self.theta <= 1:
             raise DomainError(f"blow-up threshold must exceed 1, got {self.theta}")
-        if self.growth_factor <= 1:
-            raise DomainError(
-                f"growth factor must exceed 1, got {self.growth_factor}")
-        if not (0 < self.dt_min_ratio < 1):
-            raise DomainError(
-                f"dt_min_ratio must lie in (0, 1), got {self.dt_min_ratio}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,6 @@ class RunResult:
     hneg: np.ndarray
     maxabs: np.ndarray
     weighted_sup: float
-    s: float
-    gamma: float
 
     @property
     def lifespan(self) -> float:
@@ -160,10 +154,10 @@ class _Workspace:
     masks a whole array.  The linear terms stay unmasked.
     """
 
-    def __init__(self, grid: GridSpec, dealias: bool):
+    def __init__(self, grid: GridSpec):
         self.grid = grid
         self.kmag = wavenumber_magnitude(grid)
-        mask = dealias_mask(grid) if dealias else 1.0
+        mask = dealias_mask(grid)
         forward_scale, inverse_scale = _unitary_scales(grid)
         # raw _rfftn output -> masked unitary coefficients
         self.forcing_fold = mask * forward_scale
@@ -191,8 +185,8 @@ class _Workspace:
 
 
 @lru_cache(maxsize=8)
-def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
-    return _Workspace(grid, dealias)
+def _workspace(grid: GridSpec) -> _Workspace:
+    return _Workspace(grid)
 
 
 def _history_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
@@ -204,7 +198,7 @@ def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
                  p: float, ws: _Workspace):
     """One ETD2 step on raw coefficient arrays.
 
-    ``u_phys`` must be the (dealiased) physical field of ``u``.  Returns the
+    ``u_phys`` must be the dealiased physical field of ``u``.  Returns the
     new coefficient pair plus the new physical field and its max amplitude.
     """
     k00, k01, k10, k11, i0, i1, j0, j1 = ws.entries(h)
@@ -221,7 +215,7 @@ def step(state: State, h: float, config: SolverConfig) -> State:
     """Advance a state by one step of size h (no adaptivity, no checks)."""
     if h <= 0:
         raise DomainError(f"step size must be positive, got {h}")
-    ws = _workspace(state.grid, config.dealias)
+    ws = _workspace(state.grid)
     u = state.u_hat.coeffs
     ut = state.ut_hat.coeffs
     u_new, ut_new, _, _ = _step_arrays(u, ut, ws.physical(u), h, config.p, ws)
@@ -244,7 +238,9 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         s: float, gamma: float, observer=None) -> RunResult:
     """March the semilinear problem with data (eps*u0, eps*u1) to t_end.
 
-    Records norm history at >= 64 geometrically spaced sample times and the
+    Records a norm-history row at t = 0, after each accepted step that
+    passes one of the 96 geometric targets in [dt, t_end] (at most one row
+    per step), and at the final time (t_end, or the blow-up time), with the
     running weighted sup  (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs}.
     The negative-order history column is computed over k != 0: the forcing
     injects mean, and on the torus the single zero mode is excluded rather
@@ -262,7 +258,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     if u0.shape != grid.shape or u1.shape != grid.shape:
         raise ContractError("initial data shape does not match the grid")
 
-    ws = _workspace(grid, config.dealias)
+    ws = _workspace(grid)
     weights = _history_weights(grid, s, gamma)
     u = _forward_coeffs(config.eps * u0, grid)
     ut = _forward_coeffs(config.eps * u1, grid)
@@ -293,7 +289,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
 
     t = 0.0
     h = config.dt
-    h_min = config.dt * config.dt_min_ratio
+    h_min = config.dt * _DT_MIN_RATIO
     max_cur = float(np.max(np.abs(u_phys)))
     status = None
     blow_up_time = None
@@ -306,7 +302,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
 
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
         grew_too_fast = finite and max_cur > 0 and \
-            max_new > config.growth_factor * max_cur
+            max_new > _GROWTH_FACTOR * max_cur
         if not finite or grew_too_fast:
             h = 0.5 * h_try
             streak = 0
@@ -345,17 +341,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     return RunResult(status=status, blow_up_time=blow_up_time,
                      times=np.asarray(times), l2=np.asarray(l2s),
                      hs=np.asarray(hss), hneg=np.asarray(hnegs),
-                     maxabs=np.asarray(maxes), weighted_sup=weighted_sup,
-                     s=s, gamma=gamma)
-
-
-def measure_lifespan(config: SolverConfig, u0: np.ndarray, u1: np.ndarray,
-                     grid: GridSpec, s: float, gamma: float,
-                     eps: float | None = None) -> float:
-    """Blow-up time at the given data size, or inf when the run completes."""
-    if eps is not None:
-        config = replace(config, eps=eps)
-    return run(config, u0, u1, grid, s, gamma).lifespan
+                     maxabs=np.asarray(maxes), weighted_sup=weighted_sup)
 
 
 def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,

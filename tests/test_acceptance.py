@@ -8,15 +8,15 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from critex import (GridSpec, SolverConfig, State, alpha0, gamma_tilde,
-                    lifespan_exponent, make_initial_data, measure_lifespan,
-                    p_crit, p_fujita, propagator, run, step,
-                    transform_forward)
+                    lifespan_exponent, make_initial_data, p_crit, p_fujita,
+                    propagator, run, step, transform_forward)
 from critex.experiments import (emit_phase_diagram, exponent_gate,
                                 experiment_evolve, experiment_testfn)
 from critex.fields import _inverse_samples
@@ -222,8 +222,8 @@ def test_criterion_6_lifespan_scaling():
         schedule = [7e-3 * factor ** i for i in range(8)]
         lifespans = []
         for eps in schedule:
-            lifespan = measure_lifespan(config, data, data, grid, 1.0, 0.5,
-                                        eps=eps)
+            lifespan = run(replace(config, eps=eps), data, data, grid, 1.0,
+                           0.5).lifespan
             assert math.isfinite(lifespan)
             lifespans.append(lifespan)
         # monotone nonincreasing in eps (schedule is decreasing in eps)
@@ -235,8 +235,8 @@ def test_criterion_6_lifespan_scaling():
         # threshold robustness at the largest eps
         wide = SolverConfig(p=2.0, eps=1.0, dt=0.02, t_end=2e6, theta=1e16)
         t_narrow = lifespans[0]
-        t_wide = measure_lifespan(wide, data, data, grid, 1.0, 0.5,
-                                  eps=schedule[0])
+        t_wide = run(replace(wide, eps=schedule[0]), data, data, grid, 1.0,
+                     0.5).lifespan
         assert abs(t_wide - t_narrow) / t_narrow < 0.02
 
 

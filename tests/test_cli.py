@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from critex import experiments
 from critex.cli import COMMANDS, build_parser, main, resolve
 
 
@@ -235,6 +236,19 @@ class TestRunInputFailsFast:
                          "--eps-start", "1", "--eps-factor", "1",
                          "--N", "256", "--L", "50")
         assert "eps schedule must be strictly monotone geometric" in err
+
+    def test_lifespan_bad_dt_before_worker_pool(self, capsys, tmp_path,
+                                                monkeypatch):
+        # every sweep point's SolverConfig is validated before a pool starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("worker pool started before validation")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
+                         "--gamma", "0.5", "--s", "1", "--p", "2",
+                         "--eps-start", "1", "--N", "256", "--L", "50",
+                         "--dt", "-1", "--workers", "2")
+        assert "initial step must be positive" in err
 
     def test_phase_diagram_bad_gamma(self, capsys, tmp_path):
         err = self.fails(capsys, tmp_path, "phase-diagram", "--n", "1",

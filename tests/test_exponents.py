@@ -214,8 +214,6 @@ class TestClassifier:
             RegimeParams(2, 0.2, 1.5, 2)
         with pytest.raises(DomainError):
             RegimeParams(2, 0.2, 1, 0.9)
-        with pytest.raises(DomainError):
-            RegimeParams(2, 0.2, 1, 2, eps=-1.0)
 
 
 class TestSharpLifespanAdmissible:

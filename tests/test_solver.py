@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from critex import (DomainError, GridSpec, SolverConfig, State,
-                    make_initial_data, measure_lifespan, nonlinearity, run,
-                    solver, step, transform_forward)
+                    make_initial_data, nonlinearity, run, solver, step,
+                    transform_forward)
 from critex.fields import (_forward_coeffs, _inverse_samples, dealias_mask,
                            hermitian_weight, l2_norm, norm_weights,
                            sobolev_norm, wavenumber_magnitude, weighted_norms)
@@ -59,7 +60,7 @@ class TestStep:
 
     def test_zero_state_stays_zero(self):
         grid = small_grid()
-        config = SolverConfig(p=2.0, eps=0.0, dt=0.1, t_end=1.0, dealias=False)
+        config = SolverConfig(p=2.0, eps=0.0, dt=0.1, t_end=1.0)
         zero = State(transform_forward(np.zeros(grid.shape), grid),
                      transform_forward(np.zeros(grid.shape), grid), 0.0)
         stepped = step(zero, 0.25, config)
@@ -161,8 +162,6 @@ class TestRun:
             SolverConfig(p=2.0, eps=1.0, dt=-0.1, t_end=1.0)
         with pytest.raises(DomainError):
             SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0, theta=0.5)
-        with pytest.raises(DomainError):
-            SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0, growth_factor=1.0)
 
     def test_zero_eps_completes_and_matches_linear(self):
         grid = small_grid()
@@ -235,14 +234,30 @@ class TestRun:
         rows = list(result.history_rows())
         assert len(rows[0]) == 5
 
+    def test_history_at_most_one_row_per_step(self):
+        # rows at t = 0, at most one per accepted step, and at t_end: a short
+        # run with few steps records fewer rows than the 96 targets
+        grid = small_grid()
+        data = make_initial_data("gaussian", grid, amplitude=0.1,
+                                 width=grid.length / 40)
+        config = SolverConfig(p=2.0, eps=0.5, dt=0.1, t_end=1.0)
+        observed = []
+        result = run(config, data, data, grid, 1.0, 0.5,
+                     observer=lambda t, _: observed.append(t))
+        steps = len(observed) - 1
+        assert result.status == STATUS_COMPLETED
+        assert len(result.times) <= steps + 2
+        assert result.times[0] == 0.0
+        assert result.times[-1] == config.t_end
+
     def test_blow_up_and_monotone_lifespan(self):
         grid = GridSpec(dim=1, length=100 * np.pi, points=2048)
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         config = SolverConfig(p=2.0, eps=1.0, dt=0.02, t_end=400.0)
         lifespans = []
         for eps in (1.0, 2.0, 4.0):
-            lifespan = measure_lifespan(config, data, data, grid, 1.0, 0.5,
-                                        eps=eps)
+            lifespan = run(replace(config, eps=eps), data, data, grid, 1.0,
+                           0.5).lifespan
             assert math.isfinite(lifespan)
             lifespans.append(lifespan)
         assert lifespans[0] >= lifespans[1] >= lifespans[2]
@@ -252,18 +267,19 @@ class TestRun:
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         base = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0, theta=1e8)
         wide = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0, theta=1e16)
-        t_narrow = measure_lifespan(base, data, data, grid, 1.0, 0.5)
-        t_wide = measure_lifespan(wide, data, data, grid, 1.0, 0.5)
+        t_narrow = run(base, data, data, grid, 1.0, 0.5).lifespan
+        t_wide = run(wide, data, data, grid, 1.0, 0.5).lifespan
         assert math.isfinite(t_narrow) and math.isfinite(t_wide)
         assert abs(t_wide - t_narrow) / t_narrow < 0.02
 
-    def test_step_underflow_reported(self):
+    def test_step_underflow_reported(self, monkeypatch):
         # an absurd growth factor forces halving straight to underflow
+        monkeypatch.setattr(solver, "_GROWTH_FACTOR", 1.0 + 1e-12)
+        monkeypatch.setattr(solver, "_DT_MIN_RATIO", 1e-6)
         grid = small_grid(points=64)
         data = make_initial_data("gaussian", grid, amplitude=1.0,
                                  width=grid.length / 10)
-        config = SolverConfig(p=2.0, eps=5.0, dt=0.1, t_end=10.0,
-                              growth_factor=1.0 + 1e-12, dt_min_ratio=1e-6)
+        config = SolverConfig(p=2.0, eps=5.0, dt=0.1, t_end=10.0)
         result = run(config, data, data, grid, 1.0, 0.5)
         assert result.status == STATUS_STEP_UNDERFLOW
         assert result.lifespan == result.blow_up_time
@@ -288,12 +304,13 @@ def complex_fft_lifespan(config, u0, u1, grid):
     """Lifespan from the full complex-spectrum ETD2 scheme: ``fftn``/``ifftn``
     with the dealias mask applied to every transform, the library's kernel
     and forcing weights, under the solver's step control."""
-    from critex.solver import (_QUIET_AMPLITUDE_RATIO, _REGROWTH_STREAK,
+    from critex.solver import (_DT_MIN_RATIO, _GROWTH_FACTOR,
+                               _QUIET_AMPLITUDE_RATIO, _REGROWTH_STREAK,
                                _STEP_CAP_FRACTION)
     scale = grid.length ** (grid.dim / 2) / grid.points ** grid.dim
     m = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
     kmag = 2 * np.pi * np.abs(np.fft.fftfreq(grid.points, d=grid.spacing))
-    mask = (np.abs(m) <= grid.points / 3.0) if config.dealias else 1.0
+    mask = np.abs(m) <= grid.points / 3.0
 
     def physical(c):
         return np.fft.ifftn(c * mask / scale).real
@@ -318,9 +335,9 @@ def complex_fft_lifespan(config, u0, u1, grid):
         new_phys = physical(u_new)
         max_new = float(np.max(np.abs(new_phys)))
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
-        if not finite or (max_cur > 0 and max_new > config.growth_factor * max_cur):
+        if not finite or (max_cur > 0 and max_new > _GROWTH_FACTOR * max_cur):
             h, streak = 0.5 * h_try, 0
-            assert h >= config.dt * config.dt_min_ratio
+            assert h >= config.dt * _DT_MIN_RATIO
             continue
         quiet = max_cur == 0.0 or max_new <= _QUIET_AMPLITUDE_RATIO * max_cur
         t += h_try
@@ -335,12 +352,10 @@ def complex_fft_lifespan(config, u0, u1, grid):
 
 
 class TestHalfSpectrumAgainstComplexFFT:
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_lifespan_matches_complex_reference(self, dealias):
+    def test_lifespan_matches_complex_reference(self):
         grid = GridSpec(dim=1, length=100 * np.pi, points=512)
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
-        config = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0,
-                              dealias=dealias)
+        config = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0)
         result = run(config, data, data, grid, 1.0, 0.5)
         expected = complex_fft_lifespan(config, data, data, grid)
         assert math.isfinite(expected)
