@@ -12,12 +12,12 @@ from .errors import (AccuracyError, ContractError, CritexError, DomainError,
                      InsufficientDataError)
 from .exponents import (Regime, RegimeParams, RegimeVerdict, alpha0,
                         classify_regime, conjugate_exponent, gamma_tilde,
-                        gn_beta1, gn_beta2, hls_pair, lifespan_exponent,
-                        p_crit, p_fujita, sharp_lifespan_admissible)
+                        lifespan_exponent, p_crit, p_fujita,
+                        sharp_lifespan_admissible)
 from .fields import (GridSpec, SpectrumField, make_initial_data, sobolev_norm,
                      transform_forward, transform_inverse)
 from .propagators import (PropagatorMatrix, forcing_weights, heat_multiplier,
-                          kernel_entries, pointwise_bound_check, propagate, propagator)
+                          kernel_entries, propagate, propagator)
 from .radial import (DecayCurve, RadialProfile, RateFit, diffusion_difference,
                      evolve_damped, evolve_heat, fit_rate, gaussian_profile,
                      log_radial_grid, norm_radial, power_law_profile)

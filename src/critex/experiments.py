@@ -17,7 +17,6 @@ environment variable, ``./runs``.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,8 +30,7 @@ import numpy as np
 from . import radial, solver
 from .errors import ContractError, DomainError, InsufficientDataError
 from .exponents import (Regime, RegimeParams, classify_regime, conjugate_exponent,
-                        gamma_tilde, lifespan_exponent, p_crit,
-                        sharp_lifespan_admissible)
+                        lifespan_exponent, p_crit, sharp_lifespan_admissible)
 from .fields import GridSpec, _radius_squared, make_initial_data
 from .radial import (DEFAULT_FIT_WINDOW, RateFit, fit_rate,
                      gaussian_profile, power_law_profile)
@@ -139,6 +137,9 @@ def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
     """Data (v0, zero v1), sample times, and DEFAULT_FIT_WINDOW clipped to [t0, t1]."""
     if gamma <= 0 or gamma >= n / 2.0:
         raise DomainError(f"rate suites require gamma in (0, n/2), got {gamma}")
+    if points < 1 or t0 <= 0:
+        raise DomainError(f"rate suites need points >= 1 and t0 > 0, "
+                          f"got points = {points}, t0 = {t0}")
     v0 = build_profile(profile, n)
     window = max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
     return (v0, v0.with_values(np.zeros_like(v0.values)),
@@ -401,15 +402,12 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
         raise DomainError("gamma grid must lie inside (0, n/2)")
     if np.any(p_grid <= 1):
         raise DomainError("p grid must lie inside (1, inf)")
-    gt = gamma_tilde(n)
-    cap = n / (n - 2.0 * s) if n > 2.0 * s else math.inf
     rows = []
     for gamma in gamma_grid:
-        pc = p_crit(n, gamma)
-        lower = 1.0 + 2.0 * gamma / n
         for p in p_grid:
             verdict = classify_regime(RegimeParams(n=n, gamma=float(gamma), s=s,
                                                    p=float(p)))
+            pc, _, gt, lower, cap = (r.rhs for r in verdict.reasons)
             rows.append({"gamma": float(gamma), "p": float(p),
                          "regime": verdict.regime.value, "p_crit": pc,
                          "p_lower": lower, "p_cap": cap, "gamma_tilde": gt})
@@ -560,6 +558,9 @@ def experiment_phase_diagram(n: float, s: float, gamma_min: float,
                              out: str | None = None) -> tuple[Path, dict]:
     """Regime map over a (gamma, p) grid."""
     params = dict(locals())
+    if gamma_steps < 1 or p_steps < 1:
+        raise DomainError(f"step counts must be >= 1, got gamma_steps = "
+                          f"{gamma_steps}, p_steps = {p_steps}")
     rows = emit_phase_diagram(n, s, np.linspace(gamma_min, gamma_max, gamma_steps),
                               np.linspace(p_min, p_max, p_steps))
     run_dir = _open_run("phase-diagram", params)

@@ -3,8 +3,11 @@
 Every threshold that decides between global existence and finite-time
 blow-up for u_tt - Delta u + u_t = |u|^p with data measured in the
 homogeneous negative-order norm of index gamma is a closed-form expression
-in (n, gamma, s, p).  This module collects all of them, together with a
-regime classifier that maps a parameter tuple to one of four verdicts.
+in (n, gamma, s, p).  ``classify_regime`` returns the ones it compares
+against as the right-hand sides of its verdict's reasons, so a caller that
+has a verdict reads them there.  Its technical conditions p <= n/(n - 2s) and
+p >= 1 + 2*gamma/n are the proof's Gagliardo-Nirenberg admissibility
+conditions beta1 <= 1 and beta2 >= 0 in closed form.
 
 All arithmetic is double precision.  Denominators are checked against zero
 within 1e-14 before any division.
@@ -93,13 +96,6 @@ class AdmissibilityReport(NamedTuple):
     reasons: tuple[Reason, ...]
 
 
-class InterpolationWeight(NamedTuple):
-    """Interpolation weight plus an in-[0,1] admissibility flag."""
-
-    value: float
-    admissible: bool
-
-
 # ---------------------------------------------------------------------------
 # scalar exponent formulas
 # ---------------------------------------------------------------------------
@@ -160,51 +156,6 @@ def alpha0(p: float, n: float, gamma: float) -> float:
             f"alpha0 = {value!r} falls outside (0, 1); "
             f"requires 1 < p < p_crit(n, gamma) = {p_crit(n, gamma)!r}")
     return value
-
-
-def hls_pair(gamma: float, n: float) -> float:
-    """Lower Lebesgue index m with 1/m - 1/2 = gamma/n; lies in (1, 2).
-
-    The negative-order norm of |u|^p is controlled through the L^m norm via
-    the Riesz potential, which forces gamma in (0, n/2).
-    """
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    if n <= 0:
-        raise DomainError(f"dimension must be positive, got {n}")
-    if gamma >= n / 2.0:
-        raise DomainError(
-            f"gamma = {gamma!r} >= n/2 = {n / 2.0!r} makes m <= 1; "
-            "the Lebesgue pairing requires gamma in (0, n/2)")
-    return 2.0 * n / _check_denominator(n + 2.0 * gamma, "n + 2*gamma")
-
-
-def gn_beta1(n: float, s: float, p: float) -> InterpolationWeight:
-    """Interpolation weight n/(2s) * (1 - 1/p) for the L^{2p} bound.
-
-    Flagged inadmissible when outside [0, 1]; staying inside forces
-    p <= n/(n - 2s) when n > 2s.
-    """
-    if not (0 < s <= 1):
-        raise DomainError(f"regularity s must lie in (0, 1], got {s}")
-    if p <= 1:
-        raise DomainError(f"exponent p must exceed 1, got {p}")
-    value = n / (2.0 * s) * (1.0 - 1.0 / p)
-    return InterpolationWeight(value, 0.0 <= value <= 1.0)
-
-
-def gn_beta2(n: float, s: float, p: float, gamma: float) -> InterpolationWeight:
-    """Interpolation weight n/s * (1/2 - 1/(m p)) with m from ``hls_pair``.
-
-    Nonnegative exactly when p >= 1 + 2*gamma/n.
-    """
-    if not (0 < s <= 1):
-        raise DomainError(f"regularity s must lie in (0, 1], got {s}")
-    if p <= 1:
-        raise DomainError(f"exponent p must exceed 1, got {p}")
-    m = hls_pair(gamma, n)
-    value = n / s * (0.5 - 1.0 / (m * p))
-    return InterpolationWeight(value, 0.0 <= value <= 1.0)
 
 
 # ---------------------------------------------------------------------------

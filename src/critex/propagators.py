@@ -50,11 +50,6 @@ _PHI_TERMS = 20
 _PHI1_COEFFS = np.array([1.0 / math.factorial(j + 1) for j in range(_PHI_TERMS)])
 _PHI2_COEFFS = np.array([1.0 / math.factorial(j + 2) for j in range(_PHI_TERMS)])
 
-# Calibrated envelope constants for the pointwise kernel bounds.
-BOUND_RATE = 0.25
-BOUND_C0 = 8.0
-BOUND_C1 = 8.0
-
 _UNDERFLOW_FLOOR = 1e-300
 
 
@@ -62,14 +57,14 @@ _UNDERFLOW_FLOOR = 1e-300
 class PropagatorMatrix:
     """Fundamental-matrix entries at fixed (t, r); identity at t = 0.
 
-    ``underflowed`` marks evaluations fully decayed below 1e-300.
+    Once all four have decayed below 1e-300 (t > 0), all four are +0.0
+    rather than subnormals or -0.0.
     """
 
     k00: float
     k01: float
     k10: float
     k11: float
-    underflowed: bool = False
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.k00, self.k01], [self.k10, self.k11]])
@@ -218,10 +213,9 @@ def propagator(t: float, r: float) -> PropagatorMatrix:
     arr = np.array([r], dtype=float)
     k00, k01, k10, k11 = kernel_entries(t, arr)
     entries = (float(k00[0]), float(k01[0]), float(k10[0]), float(k11[0]))
-    underflowed = t > 0 and all(abs(e) < _UNDERFLOW_FLOOR for e in entries)
-    if underflowed:
+    if t > 0 and all(abs(e) < _UNDERFLOW_FLOOR for e in entries):
         entries = (0.0, 0.0, 0.0, 0.0)
-    return PropagatorMatrix(*entries, underflowed=underflowed)
+    return PropagatorMatrix(*entries)
 
 
 def heat_multiplier(t: float, r: np.ndarray | float):
@@ -243,18 +237,3 @@ def propagate(kind: str, t: float, r: np.ndarray, a: np.ndarray, b: np.ndarray):
     damped = k00 * a + k01 * b
     return damped if kind == "damped" else damped - heat
 
-
-def pointwise_bound_check(t: float, r: float) -> bool:
-    """Check the decay envelopes of both kernels at (t, r).
-
-    |k00| <= C0 (r^2 e^{-ct} + e^{-c r^2 t}) and
-    |k01| <= C1 min(1, 1/r) (e^{-ct} + e^{-c r^2 t})
-    with the module's calibrated c = 1/4, C0 = C1 = 8.
-    """
-    mat = propagator(t, r)
-    decay_t = math.exp(-BOUND_RATE * t)
-    decay_rt = math.exp(-BOUND_RATE * r * r * t)
-    bound_k00 = BOUND_C0 * (r * r * decay_t + decay_rt)
-    cap = 1.0 if r <= 1.0 else 1.0 / r
-    bound_k01 = BOUND_C1 * cap * (decay_t + decay_rt)
-    return abs(mat.k00) <= bound_k00 and abs(mat.k01) <= bound_k01

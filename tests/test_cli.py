@@ -97,6 +97,160 @@ class TestProbeCommand:
         assert len(out.strip().splitlines()) == 1 + 6
 
 
+# stdout of `critex exponents` and `critex probe`, byte for byte
+EXPONENTS_FINITE_CAP = """\
+{
+  "derived": {
+    "gamma_tilde": 1.1374586088176875,
+    "p_crit": 2.0,
+    "p_fujita": 1.6666666666666665
+  },
+  "params": {
+    "gamma": 0.5,
+    "n": 3.0,
+    "p": 2.0,
+    "s": 1.0
+  },
+  "sharp_lifespan_admissible": false,
+  "verdict": {
+    "reasons": [
+      {
+        "lhs": 2.0,
+        "name": "p > p_crit",
+        "passed": false,
+        "rhs": 2.0
+      },
+      {
+        "lhs": 2.0,
+        "name": "p = p_crit",
+        "passed": true,
+        "rhs": 2.0
+      },
+      {
+        "lhs": 0.5,
+        "name": "gamma <= gamma_tilde",
+        "passed": true,
+        "rhs": 1.1374586088176875
+      },
+      {
+        "lhs": 2.0,
+        "name": "p >= 1 + 2*gamma/n",
+        "passed": true,
+        "rhs": 1.3333333333333333
+      },
+      {
+        "lhs": 2.0,
+        "name": "p <= n/(n - 2s)",
+        "passed": true,
+        "rhs": 3.0
+      }
+    ],
+    "regime": "CriticalOpen"
+  }
+}
+"""
+
+EXPONENTS_INFINITE_CAP = """\
+{
+  "derived": {
+    "alpha0": 0.625,
+    "gamma_tilde": 0.7807764064044151,
+    "lifespan_exponent": -1.6,
+    "p_crit": 3.6666666666666665,
+    "p_fujita": 3.0
+  },
+  "params": {
+    "gamma": 0.25,
+    "n": 1.0,
+    "p": 2.0,
+    "s": 1.0
+  },
+  "sharp_lifespan_admissible": true,
+  "verdict": {
+    "reasons": [
+      {
+        "lhs": 2.0,
+        "name": "p > p_crit",
+        "passed": false,
+        "rhs": 3.6666666666666665
+      },
+      {
+        "lhs": 2.0,
+        "name": "p = p_crit",
+        "passed": false,
+        "rhs": 3.6666666666666665
+      },
+      {
+        "lhs": 0.25,
+        "name": "gamma <= gamma_tilde",
+        "passed": true,
+        "rhs": 0.7807764064044151
+      },
+      {
+        "lhs": 2.0,
+        "name": "p >= 1 + 2*gamma/n",
+        "passed": true,
+        "rhs": 1.5
+      },
+      {
+        "lhs": 2.0,
+        "name": "p <= n/(n - 2s)",
+        "passed": true,
+        "rhs": Infinity
+      }
+    ],
+    "regime": "BlowUp"
+  }
+}
+"""
+
+EXPONENTS_BOUNDARY_GAMMA = """\
+{
+  "derived": {
+    "alpha0": 0.5,
+    "gamma_tilde": 0.7807764064044151,
+    "lifespan_exponent": -2.0,
+    "p_crit": 3.0,
+    "p_fujita": 3.0
+  },
+  "params": {
+    "gamma": 0.5,
+    "n": 1.0,
+    "p": 2.0,
+    "s": 1.0
+  },
+  "sharp_lifespan_admissible": true,
+  "verdict_error": "classification requires gamma in (0, n/2); got gamma = 0.5, n = 1.0"
+}
+"""
+
+PROBE_TABLE = """\
+t,r,k00,k01,k10,k11
+1.0,0.0,1.0,0.6321205588285577,-0.0,0.36787944117144233
+1.0,0.6,0.8712121116932291,0.595471929526848,-0.21436989462966527,0.275740182166381
+1.0,2.0,-0.07064455091946409,0.2925001067983418,-1.1700004271933673,-0.3631446577178059
+1480.0,0.0,1.0,1.0,-0.0,0.0
+1480.0,0.6,0.0,0.0,0.0,0.0
+1480.0,2.0,0.0,0.0,0.0,0.0
+"""
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv, expected", [
+        (("--n", "3", "--gamma", "0.5", "--s", "1", "--p", "2"),
+         EXPONENTS_FINITE_CAP),
+        (("--n", "1", "--gamma", "0.25", "--s", "1", "--p", "2"),
+         EXPONENTS_INFINITE_CAP),
+        (("--n", "1", "--gamma", "0.5", "--p", "2"), EXPONENTS_BOUNDARY_GAMMA),
+    ], ids=["finite-cap", "infinite-cap", "boundary-gamma"])
+    def test_exponents(self, capsys, argv, expected):
+        assert run_cli(capsys, "exponents", *argv) == (0, expected, "")
+
+    def test_probe(self, capsys):
+        assert run_cli(capsys, "probe", "--t", "1,1480", "--r", "0,0.6,2") \
+            == (0, PROBE_TABLE, "")
+
+
 class TestRunCommands:
     def test_phase_diagram(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "phase-diagram", "--n", "1", "--s", "1",
@@ -256,6 +410,24 @@ class TestRunInputFailsFast:
                          "--gamma-steps", "2", "--p-min", "1.5", "--p-max", "3",
                          "--p-steps", "2")
         assert "gamma grid must lie inside (0, n/2)" in err
+
+    @pytest.mark.parametrize("gamma_steps, p_steps", [("-1", "2"), ("0", "2"),
+                                                      ("2", "-2")])
+    def test_phase_diagram_bad_step_count(self, capsys, tmp_path, gamma_steps,
+                                          p_steps):
+        err = self.fails(capsys, tmp_path, "phase-diagram", "--n", "1",
+                         "--s", "1", "--gamma-min", "0.1", "--gamma-max", "0.4",
+                         "--gamma-steps", gamma_steps, "--p-min", "1.5",
+                         "--p-max", "3", "--p-steps", p_steps)
+        assert "step counts must be >= 1" in err
+
+    @pytest.mark.parametrize("flag, value", [("--points", "-1"), ("--points", "0"),
+                                             ("--t0", "0"), ("--t0", "-1")])
+    @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
+    def test_rate_suite_bad_samples(self, capsys, tmp_path, command, flag, value):
+        err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
+                         "--s", "1", "--profile", "gaussian", flag, value)
+        assert "points >= 1 and t0 > 0" in err
 
 
 EVOLVE_FLAGS = ("evolve", "--dim", "1", "--p", "2", "--gamma", "0.5",

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from critex import (DomainError, Regime, RegimeParams, alpha0, classify_regime,
-                    conjugate_exponent, gamma_tilde, gn_beta1, gn_beta2,
-                    hls_pair, lifespan_exponent, p_crit, p_fujita,
-                    sharp_lifespan_admissible)
+                    conjugate_exponent, gamma_tilde, lifespan_exponent, p_crit,
+                    p_fujita, sharp_lifespan_admissible)
 
 
 def random_admissible(rng, count):
@@ -108,51 +107,27 @@ class TestLifespanExponent:
             alpha0(4.0, 1, 0.5)
 
 
-class TestLebesgueAndInterpolation:
-    def test_hls_pair_values(self):
-        assert hls_pair(0.5, 2) == pytest.approx(4 / 3, abs=1e-15)
-        assert hls_pair(1.0, 4) == pytest.approx(4 / 3, abs=1e-15)
-        assert hls_pair(1.0 - 1e-9, 2) == pytest.approx(1.0, abs=1e-8)
-        assert hls_pair(1.0 - 1e-9, 2) > 1.0
+def check_gn_conditions(n, s, gamma, p):
+    passed = {r.name: r.passed
+              for r in classify_regime(RegimeParams(n, gamma, s, p)).reasons}
+    beta1 = n / (2 * s) * (1 - 1 / p)
+    beta2 = (n / s) * (0.5 - (n + 2 * gamma) / (2 * n * p))
+    assert passed["p <= n/(n - 2s)"] == (beta1 <= 1), (n, s, gamma, p)
+    assert passed["p >= 1 + 2*gamma/n"] == (beta2 >= 0), (n, s, gamma, p)
 
-    def test_hls_pair_range_and_domain(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = rng.uniform(1, 8)
-            gamma = rng.uniform(1e-6, n / 2 - 1e-6)
-            assert 1 < hls_pair(gamma, n) < 2
-        with pytest.raises(DomainError):
-            hls_pair(1.0, 2)  # gamma = n/2
-        with pytest.raises(DomainError):
-            hls_pair(1.5, 2)
-        with pytest.raises(DomainError):
-            hls_pair(-0.1, 2)
 
-    def test_beta1(self):
-        assert gn_beta1(2, 1, 2).value == pytest.approx(0.5, abs=1e-15)
-        boundary = gn_beta1(3, 1, 3)
-        assert boundary.value == pytest.approx(1.0, abs=1e-15)
-        assert boundary.admissible
-        over = gn_beta1(3, 1, 4)
-        assert over.value == pytest.approx(1.125, abs=1e-15)
-        assert not over.admissible
-
-    def test_beta2(self):
-        assert gn_beta2(2, 1, 2, 0.5).value == pytest.approx(0.25, abs=1e-14)
-        lower = gn_beta2(2, 1, 1.5, 0.5)  # p = 1 + 2*gamma/n exactly
-        assert lower.value == pytest.approx(0.0, abs=1e-14)
-        assert lower.admissible
-        below = gn_beta2(2, 1, 1.2, 0.5)
-        assert below.value < 0
-        assert not below.admissible
-
-    def test_beta2_sign_equivalence(self):
-        # beta2 >= 0 exactly when p >= 1 + 2*gamma/n
-        for n in np.linspace(1, 5, 7):
-            for gamma in np.linspace(0.1, n / 2 - 0.05, 6):
-                for p in np.linspace(1.05, 4.0, 9):
-                    weight = gn_beta2(n, 1.0, p, gamma)
-                    assert (weight.value >= -1e-14) == (p >= 1 + 2 * gamma / n - 1e-14)
+class TestGagliardoNirenbergConditions:
+    def test_technical_conditions_are_gn_admissibility(self):
+        # The proof's interpolation weights beta1 = n/(2s) (1 - 1/p) and
+        # beta2 = (n/s) (1/2 - (n + 2 gamma)/(2 n p)) are admissible exactly
+        # when the classifier's closed-form cap and lower bound pass.  The
+        # grid avoids the boundaries themselves, where the two forms round
+        # differently (beta2 ~ -1e-15 at p = 1 + 2*gamma/n).
+        for n in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0):
+            for s in (0.5, 1.0):
+                for gamma in np.linspace(0.05, n / 2 - 0.05, 30):
+                    for p in np.linspace(1.05, 5.0, 30):
+                        check_gn_conditions(n, s, float(gamma), float(p))
 
 
 class TestClassifier:

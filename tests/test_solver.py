@@ -363,6 +363,27 @@ class TestHalfSpectrumAgainstComplexFFT:
 
 
 class TestLifespanAccuracy:
+    # measured relative errors: p = 2 at eps = 0.1, 1e-2, 1e-3: -2.6e-3,
+    # -1.6e-3, +3.1e-3; p = 3 at eps = 0.1, 1e-2: -3.1e-3, +6.7e-3
+    @pytest.mark.parametrize("p, eps", [(2.0, 0.1), (2.0, 1e-2), (2.0, 1e-3),
+                                        (3.0, 0.1), (3.0, 1e-2)])
+    def test_zero_mode_lifespan_matches_ode(self, p, eps):
+        # spatially constant data blow up as y'' + y' = |y|^p, y(0) = y'(0) = eps
+        grid = GridSpec(dim=1, length=2 * np.pi, points=8)
+        ones = np.ones(grid.shape)
+        config = SolverConfig(p=p, eps=eps, dt=0.02, t_end=1e5, theta=1e8)
+        result = run(config, ones, ones, grid, 1.0, 0.5)
+        assert result.status == STATUS_BLOW_UP
+
+        def reaches_theta(_, y):
+            return y[0] - config.theta
+        reaches_theta.terminal = True
+        oracle = solve_ivp(lambda _, y: [y[1], abs(y[0]) ** p - y[1]],
+                           (0.0, config.t_end), [eps, eps], method="DOP853",
+                           rtol=1e-12, atol=1e-14, events=reaches_theta)
+        (expected,) = oracle.t_events[0]
+        assert abs(result.lifespan - expected) <= 1e-2 * expected
+
     def test_step_cap_bias_under_one_percent(self, monkeypatch):
         # the default cap against cap 1/256 at eps = 7e-3 on the default
         # 1-D grid: the step bias of T, measured rather than assumed
