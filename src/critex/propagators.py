@@ -124,7 +124,7 @@ def kernel_entries(t: float, r: np.ndarray | float):
         k00[osc] = envelope * (cos_part + 0.5 * sin_part)
         k11[osc] = envelope * (cos_part - 0.5 * sin_part)
 
-    k10 = -(r * r) * k01
+    k10 = -(r * r) * k01 + 0.0  # +0.0 at r = 0; in place, unlike 0.0 - x
     return k00, k01, k10, k11
 
 

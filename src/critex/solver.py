@@ -23,12 +23,13 @@ exact action.
 
 Blow-up has no finite criterion, so a max-amplitude threshold theta stands
 in for norm divergence; near genuine blow-up the measured time is
-insensitive to theta over many orders of magnitude.  Steps halve whenever
-the amplitude grows faster than ``_GROWTH_FACTOR`` per step, and double
-after a quiet streak up to t/16; running out of step size
-(StepUnderflow) is reported separately but counted as blow-up by lifespan
-sweeps, since gradient steepening beyond resolvable steps is numerically
-indistinguishable from divergence.
+insensitive to theta over many orders of magnitude.  One scale lambda
+(``_STEP_SCALE``) drives the step policy: steps halve whenever the amplitude
+grows by more than 2^lambda in one step, and double after a quiet streak up
+to lambda t/16.  The lifespan's step bias is second order in lambda.
+Running out of step size (StepUnderflow) is reported separately but counted
+as blow-up by lifespan sweeps, since gradient steepening beyond resolvable
+steps is numerically indistinguishable from divergence.
 """
 
 from __future__ import annotations
@@ -52,19 +53,17 @@ STATUS_STEP_UNDERFLOW = "StepUnderflow"
 LIFESPAN_INFINITE = math.inf
 
 _HISTORY_SAMPLES = 96
-# Step policy: halve when max|u| grows by more than _GROWTH_FACTOR in one
-# step, report StepUnderflow below dt * _DT_MIN_RATIO, and double after
-# _REGROWTH_STREAK accepted steps that grew by at most _QUIET_AMPLITUDE_RATIO.
-_GROWTH_FACTOR = 2.0
-_DT_MIN_RATIO = 1e-10
+# Step policy, scaled by lambda = _STEP_SCALE (read by each run): halve when
+# max|u| grows by more than 2^lambda in one step, and double after
+# _REGROWTH_STREAK accepted steps that grew by at most 1.02^lambda, up to
+# lambda t/16.  Past the transient the dynamics slow down with t while the
+# propagation and the forcing weights stay exact at any step, so long
+# diffusive runs cost O(log t) steps.  Halving lambda cuts the lifespan's
+# step bias about fourfold (tests/test_solver.py::TestLifespanAccuracy).
+# StepUnderflow is reported below dt * _DT_MIN_RATIO.
+_STEP_SCALE = 1.0
 _REGROWTH_STREAK = 4
-_QUIET_AMPLITUDE_RATIO = 1.02
-# Past the transient the dynamics slow down with t while the linear
-# propagation and the forcing weights stay exact at any step, so the step
-# may grow to t/16 once the amplitude is quiet; long diffusive runs then
-# cost O(log t) steps.  The lifespan bias of this cap is measured by
-# tests/test_solver.py::TestLifespanAccuracy.
-_STEP_CAP_FRACTION = 1.0 / 16.0
+_DT_MIN_RATIO = 1e-10
 # Step sizes whose multipliers the workspace keeps: the step control
 # mostly repeats the last size, or returns to the one before a halving.
 _CACHED_STEPS = 2
@@ -287,6 +286,8 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     sample_times = _record_times(config.dt, config.t_end, _HISTORY_SAMPLES)
     next_sample = 0
 
+    growth, quiet_ratio, cap_fraction = (2.0 ** _STEP_SCALE, 1.02 ** _STEP_SCALE,
+                                         _STEP_SCALE / 16.0)
     t = 0.0
     h = config.dt
     h_min = config.dt * _DT_MIN_RATIO
@@ -301,8 +302,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             u, ut, u_phys, h_try, config.p, ws)
 
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
-        grew_too_fast = finite and max_cur > 0 and \
-            max_new > _GROWTH_FACTOR * max_cur
+        grew_too_fast = finite and max_cur > 0 and max_new > growth * max_cur
         if not finite or grew_too_fast:
             h = 0.5 * h_try
             streak = 0
@@ -312,13 +312,13 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
                 break
             continue
 
-        quiet = max_cur == 0.0 or max_new <= _QUIET_AMPLITUDE_RATIO * max_cur
+        quiet = max_cur == 0.0 or max_new <= quiet_ratio * max_cur
         t += h_try
         u, ut, u_phys, max_cur = u_new, ut_new, u_new_phys, max_new
         if observer is not None:
             observer(t, u_phys)
         streak += 1
-        h_cap = max(config.dt, t * _STEP_CAP_FRACTION)
+        h_cap = max(config.dt, t * cap_fraction)
         if streak >= _REGROWTH_STREAK and h < h_cap and quiet:
             h = min(2.0 * h, h_cap)
             streak = 0

@@ -226,10 +226,10 @@ EXPONENTS_BOUNDARY_GAMMA = """\
 
 PROBE_TABLE = """\
 t,r,k00,k01,k10,k11
-1.0,0.0,1.0,0.6321205588285577,-0.0,0.36787944117144233
+1.0,0.0,1.0,0.6321205588285577,0.0,0.36787944117144233
 1.0,0.6,0.8712121116932291,0.595471929526848,-0.21436989462966527,0.275740182166381
 1.0,2.0,-0.07064455091946409,0.2925001067983418,-1.1700004271933673,-0.3631446577178059
-1480.0,0.0,1.0,1.0,-0.0,0.0
+1480.0,0.0,1.0,1.0,0.0,0.0
 1480.0,0.6,0.0,0.0,0.0,0.0
 1480.0,2.0,0.0,0.0,0.0,0.0
 """

@@ -389,6 +389,17 @@ class TestTestFunctionFunctional:
         assert report["exponent_gate"]["holds"]
         assert (testfn_dir / "report.json").exists()
 
+    def test_samples_flag_an_unresolved_radius(self, tmp_path):
+        # stored times 0, ~10, ~20: [0, R^2] holds one snapshot at R = 2,
+        # where the trapezoid spans no time, and two at R = 4
+        run_dir, _ = experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0,
+                                       eps=0.01, gamma=0.5, s=1.0, dt=0.05,
+                                       tend=20.0, snapshots=3,
+                                       out=str(tmp_path))
+        unresolved, resolved = evaluate_testfn_functional(run_dir, [2.0, 4.0])["rows"]
+        assert (unresolved["samples"], unresolved["I_R"]) == (1, 0.0)
+        assert resolved["samples"] == 2 and resolved["I_R"] > 0
+
     def test_insufficient_coverage(self, tmp_path):
         run_dir, _ = experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0,
                                        eps=0.1, gamma=0.5, s=1.0, dt=0.05,

@@ -43,6 +43,13 @@ class TestPropagatorMatrix:
         assert mat.k11 == pytest.approx(math.exp(-1), abs=1e-15)
         assert mat.k10 == 0.0
 
+    def test_zero_frequency_k10_is_positive_zero(self):
+        # k10 = -r^2 k01 vanishes at r = 0 as +0.0, so probe tables print 0.0
+        for t in (0.0, 0.5, 1.0, 40.0, 1480.0):
+            k10 = float(kernel_entries(t, TEST_RADII)[2][0])
+            assert k10 == 0.0 and math.copysign(1.0, k10) == 1.0
+            assert math.copysign(1.0, propagator(t, 0.0).k10) == 1.0
+
     def test_double_root_value(self):
         # confluent limit: k01 = t * exp(-t/2)
         mat = propagator(2.0, 0.5)

@@ -273,8 +273,9 @@ class TestRun:
         assert abs(t_wide - t_narrow) / t_narrow < 0.02
 
     def test_step_underflow_reported(self, monkeypatch):
-        # an absurd growth factor forces halving straight to underflow
-        monkeypatch.setattr(solver, "_GROWTH_FACTOR", 1.0 + 1e-12)
+        # a vanishing step scale (growth factor 2^1e-12) forces halving
+        # straight to underflow
+        monkeypatch.setattr(solver, "_STEP_SCALE", 1e-12)
         monkeypatch.setattr(solver, "_DT_MIN_RATIO", 1e-6)
         grid = small_grid(points=64)
         data = make_initial_data("gaussian", grid, amplitude=1.0,
@@ -304,9 +305,8 @@ def complex_fft_lifespan(config, u0, u1, grid):
     """Lifespan from the full complex-spectrum ETD2 scheme: ``fftn``/``ifftn``
     with the dealias mask applied to every transform, the library's kernel
     and forcing weights, under the solver's step control."""
-    from critex.solver import (_DT_MIN_RATIO, _GROWTH_FACTOR,
-                               _QUIET_AMPLITUDE_RATIO, _REGROWTH_STREAK,
-                               _STEP_CAP_FRACTION)
+    from critex.solver import _DT_MIN_RATIO, _REGROWTH_STREAK, _STEP_SCALE
+    growth, quiet_ratio = 2.0 ** _STEP_SCALE, 1.02 ** _STEP_SCALE
     scale = grid.length ** (grid.dim / 2) / grid.points ** grid.dim
     m = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
     kmag = 2 * np.pi * np.abs(np.fft.fftfreq(grid.points, d=grid.spacing))
@@ -335,15 +335,15 @@ def complex_fft_lifespan(config, u0, u1, grid):
         new_phys = physical(u_new)
         max_new = float(np.max(np.abs(new_phys)))
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
-        if not finite or (max_cur > 0 and max_new > _GROWTH_FACTOR * max_cur):
+        if not finite or (max_cur > 0 and max_new > growth * max_cur):
             h, streak = 0.5 * h_try, 0
             assert h >= config.dt * _DT_MIN_RATIO
             continue
-        quiet = max_cur == 0.0 or max_new <= _QUIET_AMPLITUDE_RATIO * max_cur
+        quiet = max_cur == 0.0 or max_new <= quiet_ratio * max_cur
         t += h_try
         u, ut, u_phys, max_cur = u_new, ut_new, new_phys, max_new
         streak += 1
-        h_cap = max(config.dt, t * _STEP_CAP_FRACTION)
+        h_cap = max(config.dt, t * _STEP_SCALE / 16.0)
         if streak >= _REGROWTH_STREAK and h < h_cap and quiet:
             h, streak = min(2.0 * h, h_cap), 0
         if max_cur > config.theta:
@@ -360,6 +360,18 @@ class TestHalfSpectrumAgainstComplexFFT:
         expected = complex_fft_lifespan(config, data, data, grid)
         assert math.isfinite(expected)
         assert result.lifespan == pytest.approx(expected, rel=1e-12)
+
+
+def ledger_lifespan(grid=DEFAULT_GRIDS[1], **changes):
+    """Lifespan and accepted steps at eps = 7e-3, by default on the default
+    1-D grid, where the step policy dominates the error of T."""
+    data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+    config = replace(SolverConfig(p=2.0, eps=7e-3, dt=0.02, t_end=2e4), **changes)
+    times = []
+    result = run(config, data, data, grid, 1.0, 0.5,
+                 observer=lambda t, _: times.append(t))
+    assert result.status == STATUS_BLOW_UP
+    return result.lifespan, len(times) - 1
 
 
 class TestLifespanAccuracy:
@@ -384,23 +396,34 @@ class TestLifespanAccuracy:
         (expected,) = oracle.t_events[0]
         assert abs(result.lifespan - expected) <= 1e-2 * expected
 
-    def test_step_cap_bias_under_one_percent(self, monkeypatch):
-        # the default cap against cap 1/256 at eps = 7e-3 on the default
-        # 1-D grid: the step bias of T, measured rather than assumed
-        grid = DEFAULT_GRIDS[1]
-        data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
-        config = SolverConfig(p=2.0, eps=7e-3, dt=0.02, t_end=2e4)
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        return ledger_lifespan()
 
-        def lifespan():
-            times = []
-            result = run(config, data, data, grid, 1.0, 0.5,
-                         observer=lambda t, _: times.append(t))
-            assert result.status == STATUS_BLOW_UP
-            return result.lifespan, len(times) - 1
+    def test_step_policy_is_second_order(self, default_run, monkeypatch):
+        # scaling the whole step policy by lambda = 1, 1/2, 1/4; measured T =
+        # 1350.4147, 1340.7617, 1338.6997 in 221, 401, 742 steps, difference
+        # ratio 4.68, Richardson limit 1338.140, default bias +0.917 %
+        lifespans = [default_run[0]]
+        for scale in (0.5, 0.25):
+            monkeypatch.setattr(solver, "_STEP_SCALE", scale)
+            lifespans.append(ledger_lifespan()[0])
+        coarse, middle, fine = lifespans
+        assert coarse > middle > fine
+        assert (coarse - middle) / (middle - fine) >= 3.5
+        limit = fine - (middle - fine) ** 2 / ((coarse - middle) - (middle - fine))
+        assert abs(coarse - limit) <= 0.01 * limit
+        assert default_run[1] <= 250
 
-        default, steps = lifespan()
-        monkeypatch.setattr(solver, "_STEP_CAP_FRACTION", 1.0 / 256.0)
-        reference, fine_steps = lifespan()
-        assert steps <= 250
-        assert fine_steps > 4 * steps
-        assert abs(default - reference) <= 0.01 * reference
+    # relative change of T against the default run, measured in the comments;
+    # T is a sum of accepted steps, so these are bounded, never asserted zero
+    @pytest.mark.parametrize("grid, changes, bound", [
+        (GridSpec(dim=1, length=400 * np.pi, points=8192), {}, 1e-6),  # bit-identical
+        (GridSpec(dim=1, length=800 * np.pi, points=32768), {}, 1e-3),  # +3.17e-4
+        (DEFAULT_GRIDS[1], {"dt": 0.04}, 1e-3),  # +3.48e-4
+        (DEFAULT_GRIDS[1], {"theta": 1e16}, 1e-6),  # +1.53e-7
+        (DEFAULT_GRIDS[1], {"theta": 1e4}, 1e-4),  # -1.48e-5
+    ], ids=["half-box", "double-resolution", "dt-0.04", "theta-1e16", "theta-1e4"])
+    def test_discretisation_ledger(self, default_run, grid, changes, bound):
+        lifespan, _ = ledger_lifespan(grid, **changes)
+        assert abs(lifespan - default_run[0]) <= bound * default_run[0]
