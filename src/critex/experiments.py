@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -129,7 +128,8 @@ class SuiteFit:
 
 def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
                   points: int):
-    """Data (v0, zero v1), sample times, and DEFAULT_FIT_WINDOW clipped to [t0, t1]."""
+    """Data v0 (the velocity data are zero), sample times, and
+    DEFAULT_FIT_WINDOW clipped to [t0, t1]."""
     if gamma <= 0 or gamma >= n / 2.0:
         raise DomainError(f"rate suites require gamma in (0, n/2), got {gamma}")
     if points < 1 or t0 <= 0:
@@ -137,17 +137,16 @@ def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
                           f"got points = {points}, t0 = {t0}")
     v0 = build_profile(profile, n)
     window = max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
-    return (v0, v0.with_values(np.zeros_like(v0.values)),
-            np.geomspace(t0, t1, points), window)
+    return v0, np.geomspace(t0, t1, points), window
 
 
 def run_decay_suite(n: float, gamma: float, s: float, profile: str,
                     t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped-wave decay fits at orders 0 and s against the predictions
     -gamma/2 and -(s+gamma)/2.  Returns ({order: SuiteFit}, {order: curve})."""
-    v0, v1, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
+    v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
     predicted = {0.0: -gamma / 2.0, s: -(s + gamma) / 2.0}
-    curves = {order: radial.evolve_damped(v0, v1, times, order, gamma)
+    curves = {order: radial.evolve_damped(v0, None, times, order, gamma)
               for order in predicted}
     fits = {order: SuiteFit(fit_rate(curve, window), predicted[order])
             for order, curve in curves.items()}
@@ -158,11 +157,11 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
                         t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped / heat / difference fits plus the parabolic gain
     slope(difference) - slope(damped), expected near -1."""
-    v0, v1, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
+    v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
     curves = {
-        "damped": radial.evolve_damped(v0, v1, times, s, gamma),
-        "heat": radial.evolve_heat(v0, v1, times, s, gamma),
-        "difference": radial.diffusion_difference(v0, v1, times, s, gamma),
+        "damped": radial.evolve_damped(v0, None, times, s, gamma),
+        "heat": radial.evolve_heat(v0, None, times, s, gamma),
+        "difference": radial.diffusion_difference(v0, None, times, s, gamma),
     }
     base_rate = -(s + gamma) / 2.0
     predicted = {"damped": base_rate, "heat": base_rate,
@@ -264,6 +263,8 @@ def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
                for eps in eps_schedule]
     point = partial(_lifespan_point, grid, gamma=params.gamma, s=params.s)
     if workers > 1:
+        # imported here: workers = 1 never pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(point, configs))
     else:

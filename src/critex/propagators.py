@@ -225,15 +225,21 @@ def heat_multiplier(t: float, r: np.ndarray | float):
     return np.exp(-np.asarray(r, dtype=float) ** 2 * t)
 
 
-def propagate(kind: str, t: float, r: np.ndarray, a: np.ndarray, b: np.ndarray):
+def propagate(kind: str, t: float, r: np.ndarray, a: np.ndarray,
+              b: np.ndarray | None = None, k00: np.ndarray | None = None):
     """Flow ``kind`` of spectral data (a, b) at scalar time t and frequencies r:
-    "damped" k00 a + k01 b, "heat" e^{-r^2 t} (a + b), "difference" damped - heat."""
+    "damped" k00 a + k01 b, "heat" e^{-r^2 t} (a + b), "difference" damped - heat.
+
+    ``b=None`` is zero velocity data (k00 a, e^{-r^2 t} a); then ``k00`` is
+    ``kernel_entries(t, r)[0]`` when the caller has it already."""
     if kind not in ("damped", "heat", "difference"):
         raise DomainError(f"unknown linear flow {kind!r}")
-    heat = heat_multiplier(t, r) * (a + b) if kind != "damped" else None
+    heat = (heat_multiplier(t, r) * (a if b is None else a + b)
+            if kind != "damped" else None)
     if kind == "heat":
         return heat
-    k00, k01, _, _ = kernel_entries(t, r)
-    damped = k00 * a + k01 * b
+    if k00 is None or b is not None:
+        k00, k01, _, _ = kernel_entries(t, r)
+    damped = k00 * a if b is None else k00 * a + k01 * b
     return damped if kind == "damped" else damped - heat
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ContractError, DomainError, InsufficientDataError
-from .propagators import propagate
+from .propagators import kernel_entries, propagate
 
 DEFAULT_R_MIN = 1e-6
 DEFAULT_R_MAX = 1e3
@@ -164,41 +164,70 @@ def norm_radial(profile: RadialProfile, s: float) -> float:
 # evolutions
 # ---------------------------------------------------------------------------
 
-def _curve(kind: str, v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
-           s: float, gamma: float) -> DecayCurve:
-    """Order-s norm history of the linear flow ``kind`` of the pair (v0, v1)."""
-    if v0.dim != v1.dim or v0.r.shape != v1.r.shape or not np.array_equal(v0.r, v1.r):
+# Process-wide memo of the damped multiplier k00(t, r) on one radial grid,
+# keyed by the exact float t: every rate suite samples the same times on the
+# same grid.  Least recently used kernels go first past the budget (128 at
+# DEFAULT_POINTS); the arrays are read-only.
+_K00_BUDGET_BYTES = 4 * 1024 * 1024
+_k00_grid = np.empty(0)
+_k00_memo: dict[float, np.ndarray] = {}
+
+
+def _k00(t: float, r: np.ndarray) -> np.ndarray:
+    k00 = _k00_memo.pop(t, None)
+    if k00 is None:
+        k00 = kernel_entries(t, r)[0]
+        k00.flags.writeable = False
+    _k00_memo[t] = k00
+    while len(_k00_memo) * k00.nbytes > _K00_BUDGET_BYTES:
+        del _k00_memo[next(iter(_k00_memo))]
+    return k00
+
+
+def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
+           times: np.ndarray, s: float, gamma: float) -> DecayCurve:
+    """Order-s norm history of the linear flow ``kind`` of the pair (v0, v1);
+    ``v1=None`` is zero velocity data, whose damped kernels come from the memo."""
+    global _k00_grid
+    if v1 is not None and (v0.dim != v1.dim or v0.r.shape != v1.r.shape
+                           or not np.array_equal(v0.r, v1.r)):
         raise ContractError("profiles must share dimension and radial grid")
     # bad data (divergent at either grid end) should fail fast, not mid-curve
-    for profile in (v0, v1):
+    for profile in (v0,) if v1 is None else (v0, v1):
         norm_radial(profile, s)
         norm_radial(profile, -gamma)
+    memo = v1 is None and kind != "heat"
+    if memo and not np.array_equal(_k00_grid, v0.r):
+        _k00_memo.clear()
+        _k00_grid = v0.r.copy()
     times = np.asarray(times, dtype=float)
     norms = np.empty_like(times)
     weight, log_r, sigma = (v0.r ** (2.0 * s + v0.dim), np.log(v0.r),
                             sphere_surface(v0.dim))
+    b = None if v1 is None else v1.values
     for i, t in enumerate(times):
-        flow = propagate(kind, float(t), v0.r, v0.values, v1.values)
+        k00 = _k00(float(t), v0.r) if memo else None
+        flow = propagate(kind, float(t), v0.r, v0.values, b, k00=k00)
         if not np.isfinite(flow).all():
             raise ContractError("profile values must be finite")
         norms[i] = _plancherel(flow, weight, log_r, sigma)
     return DecayCurve(times, norms, s, gamma, kind=kind)
 
 
-def evolve_damped(v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
+def evolve_damped(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
                   s: float, gamma: float) -> DecayCurve:
     """Damped-wave norm history: v_hat(t) = k00(t, r) v0 + k01(t, r) v1."""
     return _curve("damped", v0, v1, times, s, gamma)
 
 
-def evolve_heat(v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
+def evolve_heat(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
                 s: float, gamma: float) -> DecayCurve:
     """Heat-flow norm history with merged data: w_hat(t) = e^{-r^2 t}(v0 + v1)."""
     return _curve("heat", v0, v1, times, s, gamma)
 
 
-def diffusion_difference(v0: RadialProfile, v1: RadialProfile, times: np.ndarray,
-                         s: float, gamma: float) -> DecayCurve:
+def diffusion_difference(v0: RadialProfile, v1: RadialProfile | None,
+                         times: np.ndarray, s: float, gamma: float) -> DecayCurve:
     """Norm history of the damped-wave/heat difference (the parabolic gain)."""
     return _curve("difference", v0, v1, times, s, gamma)
 

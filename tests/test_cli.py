@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 import math
@@ -10,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from critex import experiments
 from critex.cli import COMMANDS, build_parser, main, resolve
 
 
@@ -397,7 +397,7 @@ class TestRunInputFailsFast:
         def no_pool(*args, **kwargs):
             raise AssertionError("worker pool started before validation")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
                          "--gamma", "0.5", "--s", "1", "--p", "2",
                          "--eps-start", "1", "--N", "256", "--L", "50",

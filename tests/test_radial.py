@@ -7,8 +7,10 @@ from critex import (AccuracyError, ContractError, DomainError, DecayCurve,
                     evolve_heat, fit_rate, gaussian_profile, heat_multiplier,
                     kernel_entries, log_radial_grid, norm_radial,
                     power_law_profile)
+from critex import propagators, radial
 from critex.errors import InsufficientDataError
-from critex.radial import sphere_surface
+from critex.experiments import run_decay_suite, run_diffusion_suite
+from critex.radial import DEFAULT_POINTS, sphere_surface
 
 
 def heat_norm_oracle(t, n, a, s=0.0):
@@ -297,3 +299,88 @@ class TestDimensionKnob:
         fit = fit_rate(evolve_damped(v0, v1, times, 0.0, 0.5), (1e2, 1e4))
         # slope -(n - 2a)/4 = -(2.5 - 0.6)/4
         assert fit.slope == pytest.approx(-1.9 / 4, abs=0.03)
+
+
+class TestKernelMemo:
+    """The process-wide memo of k00(t, r) for curves with zero velocity data."""
+
+    SUITE = (3.0, 0.6, 1.0, "powerlaw:a=0.85")
+
+    @pytest.fixture(autouse=True)
+    def cleared_memo(self):
+        radial._k00_memo.clear()
+        yield
+        radial._k00_memo.clear()
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(t, r):
+            calls.append(t)
+            return kernel_entries(t, r)
+
+        monkeypatch.setattr(radial, "kernel_entries", counted)
+        monkeypatch.setattr(propagators, "kernel_entries", counted)
+        return calls
+
+    @staticmethod
+    def reference(curve, v0):
+        # the flow of (v0, 0) with the zero velocity data spelled out
+        zero = np.zeros_like(v0.values)
+        return np.array([
+            norm_radial(v0.with_values(propagators.propagate(
+                curve.kind, float(t), v0.r, v0.values, zero)), curve.s)
+            for t in curve.times])
+
+    def test_curves_bitwise_equal_cold_warm_and_reference(self):
+        v0 = power_law_profile(3.0, 0.85)
+        for suite in (run_decay_suite, run_diffusion_suite):
+            radial._k00_memo.clear()
+            cold = suite(*self.SUITE)[1]
+            warm = suite(*self.SUITE)[1]
+            assert cold.keys() == warm.keys()
+            for key, curve in cold.items():
+                np.testing.assert_array_equal(curve.norms, warm[key].norms)
+                np.testing.assert_array_equal(curve.norms, self.reference(curve, v0))
+
+    def test_none_velocity_matches_zeros_up_to_sign(self):
+        r = log_radial_grid(256)
+        a = np.where(r <= 1.0, r ** -0.5, 0.0)
+        k00 = kernel_entries(30.0, r)[0]
+        for kind in ("damped", "heat", "difference"):
+            zeros = np.abs(propagators.propagate(kind, 30.0, r, a, np.zeros_like(a)))
+            for given in (None, k00):
+                flow = propagators.propagate(kind, 30.0, r, a, k00=given)
+                np.testing.assert_array_equal(np.abs(flow), zeros)
+
+    def test_suites_form_each_kernel_once(self, kernel_calls):
+        run_diffusion_suite(*self.SUITE)
+        run_diffusion_suite(*self.SUITE)
+        assert len(kernel_calls) == 96
+        assert len(set(kernel_calls)) == 96
+
+    def test_grids_with_equal_ends_share_no_kernel(self, kernel_calls):
+        times = np.geomspace(1.0, 1e3, 16)
+        r = log_radial_grid()
+        moved = r.copy()
+        moved[100] = 0.5 * (r[100] + r[101])
+        v0 = power_law_profile(3.0, 0.85)
+        w0 = power_law_profile(3.0, 0.85, r=moved)
+        evolve_damped(v0, None, times, 1.0, 0.6)
+        curve = evolve_damped(w0, None, times, 1.0, 0.6)
+        assert len(kernel_calls) == 2 * times.size
+        np.testing.assert_array_equal(curve.norms, self.reference(curve, w0))
+
+    def test_memo_stays_within_budget(self):
+        v0 = gaussian_profile(3.0, r=log_radial_grid(2 * DEFAULT_POINTS))
+        evolve_damped(v0, None, np.geomspace(1.0, 1e5, 200), 0.0, 0.6)
+        held = sum(k00.nbytes for k00 in radial._k00_memo.values())
+        assert 0 < held <= 4 * 1024 * 1024
+
+    def test_memo_arrays_are_read_only(self):
+        v0 = power_law_profile(3.0, 0.85)
+        evolve_damped(v0, None, np.geomspace(1.0, 10.0, 4), 0.0, 0.6)
+        k00 = next(iter(radial._k00_memo.values()))
+        with pytest.raises(ValueError):
+            k00[0] = 1.0
