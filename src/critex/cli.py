@@ -173,6 +173,7 @@ def resolve(args: argparse.Namespace) -> tuple[typing.Callable, dict]:
     return getattr(sys.modules[fn.__module__], fn.__name__), values
 
 
+@functools.lru_cache(maxsize=1)  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critex",

@@ -73,7 +73,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_csv_cell(v) for v in row) + "\n")
+            handle.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 def _csv_cell(value) -> str:

@@ -226,20 +226,22 @@ def heat_multiplier(t: float, r: np.ndarray | float):
 
 
 def propagate(kind: str, t: float, r: np.ndarray, a: np.ndarray,
-              b: np.ndarray | None = None, k00: np.ndarray | None = None):
+              b: np.ndarray | None = None, k00: np.ndarray | None = None,
+              heat: np.ndarray | None = None):
     """Flow ``kind`` of spectral data (a, b) at scalar time t and frequencies r:
     "damped" k00 a + k01 b, "heat" e^{-r^2 t} (a + b), "difference" damped - heat.
 
-    ``b=None`` is zero velocity data (k00 a, e^{-r^2 t} a); then ``k00`` is
-    ``kernel_entries(t, r)[0]`` when the caller has it already."""
+    ``b=None`` is zero velocity data (k00 a, e^{-r^2 t} a); then a caller may
+    pass ``k00 = kernel_entries(t, r)[0]`` and ``heat = heat_multiplier(t, r)``."""
     if kind not in ("damped", "heat", "difference"):
         raise DomainError(f"unknown linear flow {kind!r}")
-    heat = (heat_multiplier(t, r) * (a if b is None else a + b)
-            if kind != "damped" else None)
-    if kind == "heat":
-        return heat
+    if kind != "damped":
+        if heat is None or b is not None:
+            heat = heat_multiplier(t, r)
+        heat_flow = heat * (a if b is None else a + b)
+        if kind == "heat":
+            return heat_flow
     if k00 is None or b is not None:
         k00, k01, _, _ = kernel_entries(t, r)
     damped = k00 * a if b is None else k00 * a + k01 * b
-    return damped if kind == "damped" else damped - heat
-
+    return damped if kind == "damped" else damped - heat_flow

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ContractError, DomainError, InsufficientDataError
-from .propagators import kernel_entries, propagate
+from .propagators import heat_multiplier, kernel_entries, propagate
 
 DEFAULT_R_MIN = 1e-6
 DEFAULT_R_MAX = 1e3
@@ -107,7 +107,7 @@ class DecayCurve:
         object.__setattr__(self, "norms", norms)
 
     def csv_rows(self):
-        for t, norm in zip(self.times, self.norms):
+        for t, norm in zip(self.times.tolist(), self.norms.tolist()):
             yield t, norm, self.s, self.gamma, self.kind
 
 
@@ -130,65 +130,59 @@ class RateFit:
 # norms
 # ---------------------------------------------------------------------------
 
-def _check_tail(g: np.ndarray, where: str) -> None:
-    peak = float(np.max(g))
-    if peak == 0.0:
-        return
-    if where == "outer":
-        edge, inner = g[-1], g[-3]
-    else:
-        edge, inner = g[0], g[2]
-    if edge > inner and edge > 1e-12 * peak:
-        raise AccuracyError(
-            f"norm integrand grows toward the {where} end of the radial grid "
-            f"(edge {edge:.3e} vs interior {inner:.3e}); the integral is not "
-            "captured by the represented range")
-
-
-def _plancherel(values: np.ndarray, weight: np.ndarray, log_r: np.ndarray,
+def _plancherel(values: np.ndarray, weight: np.ndarray, steps: np.ndarray,
                 sigma: float) -> float:
-    # norm_radial given r^{2s+n} (the weight on d log r), log r and sigma per curve
-    g = weight * np.abs(values) ** 2
-    _check_tail(g, "inner")
-    _check_tail(g, "outer")
-    return float(np.sqrt(sigma * np.trapezoid(g, x=log_r)))
+    """norm_radial given r^{2s+n} (the weight on d log r), the steps of log r and
+    sigma per curve; the sum is np.trapezoid's, operation for operation."""
+    g = np.square(values)
+    g *= weight
+    for where, edge, inner in (("inner", g[0], g[2]), ("outer", g[-1], g[-3])):
+        if edge > inner and edge > 1e-12 * g.max():
+            raise AccuracyError(
+                f"norm integrand grows toward the {where} end of the radial grid "
+                f"(edge {edge:.3e} vs interior {inner:.3e}); the integral is not "
+                "captured by the represented range")
+    trapezoids = g[1:] + g[:-1]  # steps * (g[1:] + g[:-1]) / 2, in place
+    trapezoids *= steps
+    trapezoids *= 0.5
+    return math.sqrt(sigma * float(trapezoids.sum()))
 
 
 def norm_radial(profile: RadialProfile, s: float) -> float:
     """Radial Plancherel norm of order s; rejects divergent integrands."""
     return _plancherel(profile.values, profile.r ** (2.0 * s + profile.dim),
-                       np.log(profile.r), sphere_surface(profile.dim))
+                       np.diff(np.log(profile.r)), sphere_surface(profile.dim))
 
 
 # ---------------------------------------------------------------------------
 # evolutions
 # ---------------------------------------------------------------------------
 
-# Process-wide memo of the damped multiplier k00(t, r) on one radial grid,
-# keyed by the exact float t: every rate suite samples the same times on the
-# same grid.  Least recently used kernels go first past the budget (128 at
-# DEFAULT_POINTS); the arrays are read-only.
-_K00_BUDGET_BYTES = 4 * 1024 * 1024
-_k00_grid = np.empty(0)
-_k00_memo: dict[float, np.ndarray] = {}
+# Process-wide memo of the multipliers k00(t, r) and e^{-r^2 t} on one radial
+# grid, keyed by name and the exact float t: every rate suite samples the same
+# times on the same grid.  Least recently used arrays go first past the budget
+# (256 at DEFAULT_POINTS, so a diffusion suite's 2 x 96 fit); all read-only.
+_MEMO_BUDGET_BYTES = 8 * 1024 * 1024
+_memo_grid = np.empty(0)
+_memo: dict[tuple[str, float], np.ndarray] = {}
 
 
-def _k00(t: float, r: np.ndarray) -> np.ndarray:
-    k00 = _k00_memo.pop(t, None)
-    if k00 is None:
-        k00 = kernel_entries(t, r)[0]
-        k00.flags.writeable = False
-    _k00_memo[t] = k00
-    while len(_k00_memo) * k00.nbytes > _K00_BUDGET_BYTES:
-        del _k00_memo[next(iter(_k00_memo))]
-    return k00
+def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
+    multiplier = _memo.pop((name, t), None)
+    if multiplier is None:
+        multiplier = kernel_entries(t, r)[0] if name == "k00" else heat_multiplier(t, r)
+        multiplier.flags.writeable = False
+    _memo[name, t] = multiplier
+    while len(_memo) * multiplier.nbytes > _MEMO_BUDGET_BYTES:
+        del _memo[next(iter(_memo))]
+    return multiplier
 
 
 def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
            times: np.ndarray, s: float, gamma: float) -> DecayCurve:
     """Order-s norm history of the linear flow ``kind`` of the pair (v0, v1);
-    ``v1=None`` is zero velocity data, whose damped kernels come from the memo."""
-    global _k00_grid
+    ``v1=None`` is zero velocity data, whose multipliers come from the memo."""
+    global _memo_grid
     if v1 is not None and (v0.dim != v1.dim or v0.r.shape != v1.r.shape
                            or not np.array_equal(v0.r, v1.r)):
         raise ContractError("profiles must share dimension and radial grid")
@@ -196,21 +190,23 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
     for profile in (v0,) if v1 is None else (v0, v1):
         norm_radial(profile, s)
         norm_radial(profile, -gamma)
-    memo = v1 is None and kind != "heat"
-    if memo and not np.array_equal(_k00_grid, v0.r):
-        _k00_memo.clear()
-        _k00_grid = v0.r.copy()
+    memo = v1 is None
+    if memo and not np.array_equal(_memo_grid, v0.r):
+        _memo.clear()
+        _memo_grid = v0.r.copy()
     times = np.asarray(times, dtype=float)
     norms = np.empty_like(times)
-    weight, log_r, sigma = (v0.r ** (2.0 * s + v0.dim), np.log(v0.r),
+    weight, steps, sigma = (v0.r ** (2.0 * s + v0.dim), np.diff(np.log(v0.r)),
                             sphere_surface(v0.dim))
     b = None if v1 is None else v1.values
-    for i, t in enumerate(times):
-        k00 = _k00(float(t), v0.r) if memo else None
-        flow = propagate(kind, float(t), v0.r, v0.values, b, k00=k00)
-        if not np.isfinite(flow).all():
+    for i, t in enumerate(times.tolist()):
+        k00 = _multiplier("k00", t, v0.r) if memo and kind != "heat" else None
+        heat = _multiplier("heat", t, v0.r) if memo and kind != "damped" else None
+        flow = propagate(kind, t, v0.r, v0.values, b, k00=k00, heat=heat)
+        norms[i] = _plancherel(flow, weight, steps, sigma)
+        # a non-finite flow gives a non-finite sum (its peak passes the tail check)
+        if not math.isfinite(norms[i]) and not np.isfinite(flow).all():
             raise ContractError("profile values must be finite")
-        norms[i] = _plancherel(flow, weight, log_r, sigma)
     return DecayCurve(times, norms, s, gamma, kind=kind)
 
 

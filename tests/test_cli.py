@@ -547,6 +547,16 @@ class TestSignatureIsTheDescription:
                           "tend": 100.0, "snapshots": 0, "theta": 1e8,
                           "out": None}
 
+    def test_one_parser_survives_a_failed_parse(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit):
+            main(["exponents", "--n", "2", "--gamma", "0.1", "--p", "3",
+                  "--bogus"])
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "exponents", "--n", "3", "--gamma", "0.5")
+        assert code == 0
+        assert json.loads(out)["params"] == {"n": 3.0, "gamma": 0.5}
+
     def test_readme_examples_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)

@@ -51,6 +51,29 @@ class TestNormRadial:
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
+    @staticmethod
+    def trapezoid_norm(values, r, s, n):
+        # the norm as np.trapezoid computes it
+        weight = r ** (2.0 * s + n)
+        return float(np.sqrt(sphere_surface(n) * np.trapezoid(
+            weight * np.abs(values) ** 2, x=np.log(r))))
+
+    def test_plancherel_is_bitwise_trapezoid(self):
+        rng = np.random.default_rng(5)
+        r = log_radial_grid()
+        envelope = np.exp(-r - np.log(r) ** 2)  # negligible at both ends
+        cases = [rng.standard_normal(r.size) * envelope for _ in range(4)]
+        cases += [np.zeros_like(r),
+                  np.full_like(r, 1e-160) * np.exp(-r),  # squares are subnormal
+                  np.where(r >= 1.0, np.maximum(r, 1.0) ** -60.0, 0.0)]
+        for values in cases:
+            for s, n in ((0.0, 3.0), (1.0, 8.0), (-0.7, 2.5)):
+                expected = self.trapezoid_norm(values, r, s, n)
+                weight = r ** (2.0 * s + n)
+                got = radial._plancherel(values, weight, np.diff(np.log(r)),
+                                         sphere_surface(n))
+                assert got == expected, (s, n)
+
     def test_profile_validation(self):
         r = log_radial_grid(points=64)
         with pytest.raises(ContractError):
@@ -153,6 +176,15 @@ class TestDampedEvolution:
             slopes.append(fit.slope)
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
         assert slopes[-1] == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
+
+    def test_rejects_nonfinite_flow(self):
+        # finite data whose integrand already overflows; k00 a + k01 b
+        # overflows too by t = 10, and that is a contract error
+        r = log_radial_grid(points=64)
+        big = RadialProfile(2, r, np.where(r <= 1.0, 1e308, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ContractError, match="finite"):
+            evolve_damped(big, big, np.array([0.0, 10.0]), 0.0, 0.5)
 
     def test_grid_mismatch(self):
         v0 = power_law_profile(2, 0.25)
@@ -302,27 +334,32 @@ class TestDimensionKnob:
 
 
 class TestKernelMemo:
-    """The process-wide memo of k00(t, r) for curves with zero velocity data."""
+    """The process-wide memo of k00(t, r) and e^{-r^2 t} for curves with zero
+    velocity data."""
 
     SUITE = (3.0, 0.6, 1.0, "powerlaw:a=0.85")
 
     @pytest.fixture(autouse=True)
     def cleared_memo(self):
-        radial._k00_memo.clear()
+        radial._memo.clear()
         yield
-        radial._k00_memo.clear()
+        radial._memo.clear()
 
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
+    @staticmethod
+    def count(monkeypatch, fn):
         calls = []
 
         def counted(t, r):
             calls.append(t)
-            return kernel_entries(t, r)
+            return fn(t, r)
 
-        monkeypatch.setattr(radial, "kernel_entries", counted)
-        monkeypatch.setattr(propagators, "kernel_entries", counted)
+        monkeypatch.setattr(radial, fn.__name__, counted)
+        monkeypatch.setattr(propagators, fn.__name__, counted)
         return calls
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        return self.count(monkeypatch, kernel_entries)
 
     @staticmethod
     def reference(curve, v0):
@@ -336,7 +373,7 @@ class TestKernelMemo:
     def test_curves_bitwise_equal_cold_warm_and_reference(self):
         v0 = power_law_profile(3.0, 0.85)
         for suite in (run_decay_suite, run_diffusion_suite):
-            radial._k00_memo.clear()
+            radial._memo.clear()
             cold = suite(*self.SUITE)[1]
             warm = suite(*self.SUITE)[1]
             assert cold.keys() == warm.keys()
@@ -347,18 +384,21 @@ class TestKernelMemo:
     def test_none_velocity_matches_zeros_up_to_sign(self):
         r = log_radial_grid(256)
         a = np.where(r <= 1.0, r ** -0.5, 0.0)
-        k00 = kernel_entries(30.0, r)[0]
+        k00, heat = kernel_entries(30.0, r)[0], heat_multiplier(30.0, r)
         for kind in ("damped", "heat", "difference"):
             zeros = np.abs(propagators.propagate(kind, 30.0, r, a, np.zeros_like(a)))
-            for given in (None, k00):
-                flow = propagators.propagate(kind, 30.0, r, a, k00=given)
+            for given in ({}, {"k00": k00}, {"heat": heat},
+                          {"k00": k00, "heat": heat}):
+                flow = propagators.propagate(kind, 30.0, r, a, **given)
                 np.testing.assert_array_equal(np.abs(flow), zeros)
 
-    def test_suites_form_each_kernel_once(self, kernel_calls):
+    def test_suites_form_each_kernel_once(self, monkeypatch, kernel_calls):
+        heat_calls = self.count(monkeypatch, heat_multiplier)
         run_diffusion_suite(*self.SUITE)
         run_diffusion_suite(*self.SUITE)
-        assert len(kernel_calls) == 96
-        assert len(set(kernel_calls)) == 96
+        for calls in (kernel_calls, heat_calls):
+            assert len(calls) == 96
+            assert len(set(calls)) == 96
 
     def test_grids_with_equal_ends_share_no_kernel(self, kernel_calls):
         times = np.geomspace(1.0, 1e3, 16)
@@ -375,12 +415,12 @@ class TestKernelMemo:
     def test_memo_stays_within_budget(self):
         v0 = gaussian_profile(3.0, r=log_radial_grid(2 * DEFAULT_POINTS))
         evolve_damped(v0, None, np.geomspace(1.0, 1e5, 200), 0.0, 0.6)
-        held = sum(k00.nbytes for k00 in radial._k00_memo.values())
-        assert 0 < held <= 4 * 1024 * 1024
+        held = sum(k00.nbytes for k00 in radial._memo.values())
+        assert 0 < held <= radial._MEMO_BUDGET_BYTES
 
     def test_memo_arrays_are_read_only(self):
         v0 = power_law_profile(3.0, 0.85)
         evolve_damped(v0, None, np.geomspace(1.0, 10.0, 4), 0.0, 0.6)
-        k00 = next(iter(radial._k00_memo.values()))
+        k00 = next(iter(radial._memo.values()))
         with pytest.raises(ValueError):
             k00[0] = 1.0
