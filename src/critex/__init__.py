@@ -14,8 +14,8 @@ from .exponents import (Regime, RegimeParams, RegimeVerdict, alpha0,
                         classify_regime, conjugate_exponent, gamma_tilde,
                         lifespan_exponent, p_crit, p_fujita,
                         sharp_lifespan_admissible)
-from .fields import (GridSpec, SpectrumField, make_initial_data, sobolev_norm,
-                     transform_forward, transform_inverse)
+from .fields import (GridSpec, SpectrumField, make_initial_data, transform_forward,
+                     transform_inverse)
 from .propagators import (PropagatorMatrix, forcing_weights, heat_multiplier,
                           kernel_entries, propagate, propagator)
 from .radial import (DecayCurve, RadialProfile, RateFit, diffusion_difference,

@@ -73,13 +73,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(map(_csv_cell, row)) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # numpy scalars repr as np.float64(...)
-    return str(value)
+            handle.write(",".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Periodic-grid fields, unitary half-spectrum transforms, and Sobolev norms.
+"""Periodic-grid fields, unitary half-spectrum transforms, and norm weights.
 
 Fields live on a cubic periodic box [-L/2, L/2)^dim sampled with N points
 per axis.  Physical fields are real, so only half of their spectrum is
@@ -16,12 +16,9 @@ the physical norm
 where the Hermitian multiplicity w_k counts how many full-spectrum modes a
 stored mode stands for: 2 for interior last-axis modes, 1 on the k_last = 0
 and Nyquist planes, which hold their own conjugates.  Every norm is a
-``weighted_norms`` sum against ``hermitian_weight`` or ``norm_weights``, so
-it carries this weight.  Sobolev norms are homogeneous only: weight |k|^(2s)
-with k = 0 excluded, so order zero is the L2 norm of the mean-free part.
-Negative orders demand a nearly mean-free field: on the torus the continuum
-norm diverges for nonzero mean, so the bias of dropping the single discrete
-zero mode is made explicit instead of hidden.
+``weighted_norms`` sum against ``hermitian_weight`` (the L2 norm, mean
+included) or ``norm_weights`` (the homogeneous order-s norm, weight
+w_k |k|^(2s) with k = 0 excluded), so it carries this weight.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ContractError, DomainError
-
-ZERO_MODE_TOLERANCE = 1e-10  # relative zero-mode mass allowed by negative orders
 
 
 @dataclass(frozen=True)
@@ -130,13 +125,12 @@ class SpectrumField:
     """Half-spectrum Fourier coefficients of a real field on a periodic grid.
 
     ``coeffs`` has shape ``grid.spectrum_shape`` (numpy ``rfftn`` layout);
-    any other shape, such as a full spectrum, is rejected.  Entries must be
-    finite unless the field is explicitly flagged ``diverged``.
+    any other shape, such as a full spectrum, is rejected, and so are
+    non-finite entries.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
-    diverged: bool = False
 
     def __post_init__(self):
         if self.coeffs.shape != self.grid.spectrum_shape:
@@ -145,8 +139,8 @@ class SpectrumField:
                 f"half-spectrum layout {self.grid.spectrum_shape}")
         if self.coeffs.dtype != np.complex128:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
-        if not self.diverged and not np.isfinite(self.coeffs).all():
-            raise ContractError("non-finite coefficients in a field not flagged diverged")
+        if not np.isfinite(self.coeffs).all():
+            raise ContractError("non-finite spectrum coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +203,6 @@ def weighted_norms(coeffs: np.ndarray, weights) -> list[float]:
     return [float(np.sqrt(np.sum(w * mag_sq))) for w in weights]
 
 
-def sobolev_norm(field: SpectrumField, s: float) -> float:
-    """Homogeneous Sobolev norm of order s under the unitary convention.
-
-    Sums |k|^(2s) |c_k|^2 over k != 0 through ``norm_weights``; negative
-    orders additionally require the zero mode to carry at most
-    ``ZERO_MODE_TOLERANCE`` of the field's L2 mass (remove the mean first if
-    this trips).
-    """
-    if s < 0:
-        zero_mass = abs(field.coeffs[(0,) * field.grid.dim])
-        l2 = l2_norm(field)
-        if l2 > 0 and zero_mass > ZERO_MODE_TOLERANCE * l2:
-            raise DomainError(
-                f"zero mode carries {zero_mass:.3e} of L2 mass {l2:.3e}: homogeneous "
-                f"negative orders require a mean-free field; remove the mean first")
-    return weighted_norms(field.coeffs, [norm_weights(field.grid, s)])[0]
-
-
-def l2_norm(field: SpectrumField) -> float:
-    """Physical L2 norm (includes the mean mode)."""
-    return weighted_norms(field.coeffs, [hermitian_weight(field.grid)])[0]
-
-
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
@@ -253,7 +224,6 @@ def make_initial_data(kind: str, grid: GridSpec, **params) -> np.ndarray:
                                            the profile sitting exactly at the
                                            integrability edge of the order
                                            -gamma norm
-      ``single_mode(mode, amplitude)``     A * cos(2 pi m x_1 / L)
     """
     if kind == "gaussian":
         amplitude = params.pop("amplitude", 1.0)
@@ -276,23 +246,6 @@ def make_initial_data(kind: str, grid: GridSpec, **params) -> np.ndarray:
         bracket = np.sqrt(1.0 + r2)
         return amplitude * bracket ** (-(grid.dim / 2.0 + gamma)) \
             / np.log(np.e + np.sqrt(r2))
-
-    if kind == "single_mode":
-        mode = params.pop("mode")
-        amplitude = params.pop("amplitude", 1.0)
-        _reject_extra(params)
-        if amplitude <= 0:
-            raise DomainError(f"single_mode needs positive amplitude, got {amplitude}")
-        mode = int(mode)
-        if not (1 <= mode < grid.points // 2):
-            raise DomainError(f"mode index must lie in [1, N/2), got {mode}")
-        x = axis_coordinates(grid)
-        wave = amplitude * np.cos(2.0 * np.pi * mode * x / grid.length)
-        if grid.dim == 1:
-            return wave
-        shape = [1] * grid.dim
-        shape[0] = grid.points
-        return np.broadcast_to(wave.reshape(shape), grid.shape).copy()
 
     raise DomainError(f"unknown initial data kind {kind!r}")
 

@@ -64,8 +64,9 @@ _HISTORY_SAMPLES = 96
 _STEP_SCALE = 1.0
 _REGROWTH_STREAK = 4
 _DT_MIN_RATIO = 1e-10
-# Step sizes whose multipliers the workspace keeps: the step control
-# mostly repeats the last size, or returns to the one before a halving.
+# Step sizes whose multipliers _entries keeps, least recently used out
+# first: the step control mostly repeats the last size, or returns to the
+# one before a halving.
 _CACHED_STEPS = 2
 
 # Default desk-scale grids: the lowest mode must stay small enough that
@@ -145,47 +146,35 @@ def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
     return np.abs(u) ** p
 
 
-class _Workspace:
-    """Cached half-layout arrays and per-step-size multipliers for one grid.
-
-    Steps use the unnormalized transforms; the unitary scales and the
-    dealias mask ride on the cached forcing weights, so no step rescales or
-    masks a whole array.  The linear terms stay unmasked.
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.kmag = wavenumber_magnitude(grid)
-        mask = dealias_mask(grid)
-        forward_scale, inverse_scale = _unitary_scales(grid)
-        # raw _rfftn output -> masked unitary coefficients
-        self.forcing_fold = mask * forward_scale
-        # unitary coefficients -> masked input of the raw _irfftn
-        self.synthesis = mask * inverse_scale
-        self._entries: list[tuple[float, tuple]] = []  # most recent first
-
-    def entries(self, h: float) -> tuple:
-        """Linear entries k00..k11 at h, then the forcing weights I0, I1,
-        J0, J1, each folded with mask and scale."""
-        for i, (cached_h, cached) in enumerate(self._entries):
-            if cached_h == h:
-                if i:
-                    self._entries.insert(0, self._entries.pop(i))
-                return cached
-        linear = kernel_entries(h, self.kmag)
-        weights = forcing_weights(h, self.kmag, entries=linear)
-        cached = linear + tuple(w * self.forcing_fold for w in weights)
-        self._entries.insert(0, (h, cached))
-        del self._entries[_CACHED_STEPS:]
-        return cached
-
-    def physical(self, coeffs: np.ndarray) -> np.ndarray:
-        return _irfftn(coeffs * self.synthesis, self.grid)
-
-
 @lru_cache(maxsize=8)
-def _workspace(grid: GridSpec) -> _Workspace:
-    return _Workspace(grid)
+def _folds(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dealias mask times the forward and the inverse unitary scale.
+
+    Steps use the unnormalized transforms; the first fold takes raw
+    ``_rfftn`` output to masked unitary coefficients and rides on the
+    forcing weights, the second takes unitary coefficients to the masked
+    input of the raw ``_irfftn``.  So no step rescales or masks a whole
+    array, and the linear terms stay unmasked.
+    """
+    mask = dealias_mask(grid)
+    forward_scale, inverse_scale = _unitary_scales(grid)
+    return mask * forward_scale, mask * inverse_scale
+
+
+@lru_cache(maxsize=_CACHED_STEPS)
+def _entries(grid: GridSpec, h: float) -> tuple:
+    """Linear entries k00..k11 at h, then the forcing weights I0, I1, J0, J1,
+    each folded with mask and scale."""
+    kmag = wavenumber_magnitude(grid)
+    linear = kernel_entries(h, kmag)
+    weights = forcing_weights(h, kmag, entries=linear)
+    forcing_fold = _folds(grid)[0]
+    return linear + tuple(w * forcing_fold for w in weights)
+
+
+def _physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Dealiased physical samples of unitary coefficients."""
+    return _irfftn(coeffs * _folds(grid)[1], grid)
 
 
 def _history_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
@@ -194,36 +183,35 @@ def _history_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
 
 
 def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
-                 p: float, ws: _Workspace):
+                 p: float, grid: GridSpec):
     """One ETD2 step on raw coefficient arrays.
 
     ``u_phys`` must be the dealiased physical field of ``u``.  Returns the
     new coefficient pair plus the new physical field and its max amplitude.
     """
-    k00, k01, k10, k11, i0, i1, j0, j1 = ws.entries(h)
-    forcing0 = _rfftn(nonlinearity(u_phys, p), ws.grid)
+    k00, k01, k10, k11, i0, i1, j0, j1 = _entries(grid, h)
+    forcing0 = _rfftn(nonlinearity(u_phys, p), grid)
     predictor = k00 * u + k01 * ut + i0 * forcing0
-    jump = _rfftn(nonlinearity(ws.physical(predictor), p), ws.grid) - forcing0
+    jump = _rfftn(nonlinearity(_physical(predictor, grid), p), grid) - forcing0
     u_new = predictor + i1 * jump
     ut_new = k10 * u + k11 * ut + j0 * forcing0 + j1 * jump
-    u_new_phys = ws.physical(u_new)
+    u_new_phys = _physical(u_new, grid)
     return u_new, ut_new, u_new_phys, float(np.max(np.abs(u_new_phys)))
 
 
 def step(state: State, h: float, config: SolverConfig) -> State:
-    """Advance a state by one step of size h (no adaptivity, no checks)."""
+    """Advance a state by one step of size h, with no step control.
+
+    Raises ``ContractError`` when the step leaves non-finite coefficients.
+    """
     if h <= 0:
         raise DomainError(f"step size must be positive, got {h}")
-    ws = _workspace(state.grid)
+    grid = state.grid
     u = state.u_hat.coeffs
-    ut = state.ut_hat.coeffs
-    u_new, ut_new, _, _ = _step_arrays(u, ut, ws.physical(u), h, config.p, ws)
-    if not (np.isfinite(u_new).all() and np.isfinite(ut_new).all()):
-        return State(SpectrumField(state.grid, u_new, diverged=True),
-                     SpectrumField(state.grid, ut_new, diverged=True),
-                     state.t + h)
-    return State(SpectrumField(state.grid, u_new),
-                 SpectrumField(state.grid, ut_new), state.t + h)
+    u_new, ut_new, _, _ = _step_arrays(u, state.ut_hat.coeffs, _physical(u, grid),
+                                       h, config.p, grid)
+    return State(SpectrumField(grid, u_new), SpectrumField(grid, ut_new),
+                 state.t + h)
 
 
 def _record_times(dt: float, t_end: float, samples: int) -> np.ndarray:
@@ -257,11 +245,10 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     if u0.shape != grid.shape or u1.shape != grid.shape:
         raise ContractError("initial data shape does not match the grid")
 
-    ws = _workspace(grid)
     weights = _history_weights(grid, s, gamma)
     u = _forward_coeffs(config.eps * u0, grid)
     ut = _forward_coeffs(config.eps * u1, grid)
-    u_phys = ws.physical(u)
+    u_phys = _physical(u, grid)
 
     times, l2s, hss, hnegs, maxes = [], [], [], [], []
     weighted_sup = 0.0
@@ -299,7 +286,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     while t < config.t_end * (1.0 - 1e-12):
         h_try = min(h, config.t_end - t)
         u_new, ut_new, u_new_phys, max_new = _step_arrays(
-            u, ut, u_phys, h_try, config.p, ws)
+            u, ut, u_phys, h_try, config.p, grid)
 
         finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
         grew_too_fast = finite and max_cur > 0 and max_new > growth * max_cur

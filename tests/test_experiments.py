@@ -4,8 +4,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from critex import (DomainError, GridSpec, RegimeParams, experiments, p_crit, radial,
-                    solver)
+from critex import (DomainError, GridSpec, RegimeParams, experiments,
+                    lifespan_exponent, p_crit, radial, solver)
 from critex.errors import InsufficientDataError
 from critex.experiments import (build_profile,
                                 emit_phase_diagram, evaluate_testfn_functional,
@@ -15,7 +15,7 @@ from critex.experiments import (build_profile,
                                 exponent_gate, fit_sweep_slope, parse_profile,
                                 run_decay_suite, run_diffusion_suite,
                                 run_lifespan_sweep, space_weight, time_cutoff,
-                                write_json)
+                                write_csv, write_json)
 
 TINY_GRID = GridSpec(dim=1, length=100 * np.pi, points=2048)
 
@@ -112,6 +112,22 @@ class TestSweep:
         assert all(b >= a for a, b in zip(lifespans, lifespans[1:]))
         assert sweep.predicted_slope == pytest.approx(-2.0)
         assert sweep.fitted_slope < 0
+
+    def test_slopes_inside_the_gamma_range(self):
+        # 0 < gamma < n/2 on the default 1-D grid, one decade of eps from
+        # 7e-3: the fits sit 8.9 % (gamma = 0.1) and 3.6 % (gamma = 0.4) from
+        # the predicted exponents, and a larger gamma gives a steeper slope
+        schedule = [7e-3 * 10 ** (-i / 3) for i in range(4)]
+        slopes = {}
+        for gamma in (0.1, 0.4):
+            params = RegimeParams(n=1, gamma=gamma, s=1.0, p=2.0)
+            sweep = run_lifespan_sweep(params, schedule, solver.DEFAULT_GRIDS[1],
+                                       t_end=2e5)
+            assert [r.status for r in sweep.rows] == ["BlowUp"] * 4
+            predicted = lifespan_exponent(2.0, 1, gamma)
+            assert abs(sweep.fitted_slope / predicted - 1) <= 0.12, sweep.fitted_slope
+            slopes[gamma] = sweep.fitted_slope
+        assert slopes[0.4] < slopes[0.1]
 
     def test_supercritical_refuses_fit(self):
         params = RegimeParams(n=1, gamma=0.3, s=1.0, p=5.0)
@@ -336,6 +352,16 @@ class TestRunDirectories:
         assert sweep_lines[0] == "eps,T,status"
         assert len(sweep_lines) == 9
         assert report["fitted_slope"] is not None
+
+    def test_csv_cells_are_shortest_round_trip(self, tmp_path):
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e-5, 5e-324, 0.1,
+                  1 / 3]
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["a", "b"], [values, [np.float64(v) for v in values],
+                                     [3, np.int64(-4), "BlowUp"]])
+        cells = ("0.0,-0.0,inf,-inf,nan,1e+16,1e-05,5e-324,0.1,"
+                 "0.3333333333333333")
+        assert path.read_bytes() == f"a,b\n{cells}\n{cells}\n3,-4,BlowUp\n".encode()
 
     def test_curves_csv_cells_are_plain_numbers(self, tmp_path):
         run_dir, _ = experiment_linear_decay(

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from critex import (ContractError, DomainError, GridSpec, SpectrumField,
-                    make_initial_data, sobolev_norm, transform_forward,
-                    transform_inverse)
+                    make_initial_data, transform_forward, transform_inverse)
 from critex.fields import (axis_coordinates, dealias_mask, hermitian_weight,
-                           l2_norm, wavenumber_magnitude)
+                           norm_weights, wavenumber_magnitude, weighted_norms)
 
 
 def physical_l2(samples, grid):
     return np.sqrt(np.sum(np.abs(samples) ** 2) * grid.cell_volume)
+
+
+def cosine(grid, mode, amplitude=1.0):
+    """amplitude * cos(2 pi mode x / L) on a 1-D grid."""
+    return amplitude * np.cos(2 * np.pi * mode * axis_coordinates(grid) / grid.length)
 
 
 class TestGridSpec:
@@ -44,8 +48,8 @@ class TestTransforms:
         grid = GridSpec(dim=2, length=3.0, points=64)
         samples = rng.standard_normal(grid.shape)
         field = transform_forward(samples, grid)
-        assert l2_norm(field) == pytest.approx(physical_l2(samples, grid),
-                                               rel=1e-12)
+        [l2] = weighted_norms(field.coeffs, [hermitian_weight(grid)])
+        assert l2 == pytest.approx(physical_l2(samples, grid), rel=1e-12)
 
     def test_constant_is_dc_only(self):
         grid = GridSpec(dim=1, length=2.0, points=32)
@@ -59,7 +63,7 @@ class TestTransforms:
     def test_single_cosine_conjugate_pair(self):
         # the half layout stores the pair (3, -3) once, with weight 2
         grid = GridSpec(dim=1, length=2 * np.pi, points=64)
-        samples = make_initial_data("single_mode", grid, mode=3, amplitude=1.0)
+        samples = cosine(grid, 3)
         coeffs = transform_forward(samples, grid).coeffs
         assert coeffs.shape == (33,)
         others = np.delete(coeffs, [3])
@@ -94,13 +98,11 @@ class TestTransforms:
 
     def test_non_finite_coefficients_rejected(self):
         grid = GridSpec(dim=1, length=1.0, points=16)
-        coeffs = np.zeros(9, dtype=complex)
-        coeffs[3] = np.nan
-        with pytest.raises(ContractError):
-            SpectrumField(grid, coeffs)
-        # but an explicitly diverged field may carry them
-        flagged = SpectrumField(grid, coeffs, diverged=True)
-        assert flagged.diverged
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            coeffs = np.zeros(9, dtype=complex)
+            coeffs[3] = bad
+            with pytest.raises(ContractError, match="non-finite"):
+                SpectrumField(grid, coeffs)
 
 
 class TestHalfLayout:
@@ -129,7 +131,8 @@ class TestHalfLayout:
             nyquist = field.coeffs[(n // 2,) * dim]
             assert abs(nyquist) > 1.0
             physical_sq = physical_l2(samples, grid) ** 2
-            assert l2_norm(field) ** 2 == pytest.approx(physical_sq, rel=1e-12)
+            [l2] = weighted_norms(field.coeffs, [hermitian_weight(grid)])
+            assert l2 ** 2 == pytest.approx(physical_sq, rel=1e-12)
 
     def test_round_trip_with_nyquist_content(self):
         rng = np.random.default_rng(32)
@@ -154,59 +157,68 @@ class TestHalfLayout:
             field = transform_forward(samples, grid)
             for s in (-0.6, 0.5, 1.0):
                 expected = np.sqrt(np.sum(kmag ** (2 * s) * np.abs(full) ** 2))
-                assert sobolev_norm(field, s) == pytest.approx(expected, rel=1e-12)
+                [norm] = weighted_norms(field.coeffs, [norm_weights(grid, s)])
+                assert norm == pytest.approx(expected, rel=1e-12)
 
 
 class TestSobolevNorm:
+    """Homogeneous order-s norms: ``weighted_norms`` against ``norm_weights``."""
+
     def test_zero_order_equals_l2_on_mean_zero(self):
         rng = np.random.default_rng(12)
         grid = GridSpec(dim=1, length=7.0, points=128)
         samples = rng.standard_normal(grid.shape)
         samples -= samples.mean()
         field = transform_forward(samples, grid)
-        assert sobolev_norm(field, 0.0) == pytest.approx(
-            physical_l2(samples, grid), rel=1e-12)
+        [norm] = weighted_norms(field.coeffs, [norm_weights(grid, 0.0)])
+        assert norm == pytest.approx(physical_l2(samples, grid), rel=1e-12)
 
     def test_single_mode_scaling(self):
-        # mode with |k| = 2 on L = pi*N/... choose L = 2*pi so k_m = m
+        # on L = 2*pi the mode m has |k| = m, so each order scales the L2 norm
+        # by m^s; the L2 norm is the physical one
         grid = GridSpec(dim=1, length=2 * np.pi, points=64)
-        samples = make_initial_data("single_mode", grid, mode=2, amplitude=1.0)
+        samples = cosine(grid, 2)
         field = transform_forward(samples, grid)
-        base = sobolev_norm(field, 0.0)
-        for s in (1.0, -0.7, 0.35, -0.35):
-            assert sobolev_norm(field, s) == pytest.approx(2.0 ** s * base,
-                                                           rel=1e-12)
+        orders = (1.0, -0.7, 0.35, -0.35)
+        l2, *norms = weighted_norms(
+            field.coeffs,
+            [hermitian_weight(grid)] + [norm_weights(grid, s) for s in orders])
+        assert l2 == pytest.approx(physical_l2(samples, grid), rel=1e-12)
+        for s, norm in zip(orders, norms):
+            assert norm == pytest.approx(2.0 ** s * l2, rel=1e-12)
 
     def test_norm_scaling_in_amplitude(self):
         rng = np.random.default_rng(13)
         grid = GridSpec(dim=1, length=3.0, points=64)
         samples = rng.standard_normal(grid.shape)
         samples -= samples.mean()
-        field = transform_forward(samples, grid)
-        scaled = transform_forward(2.5 * samples, grid)
-        for s in (-0.4, 0.0, 1.0):
-            assert sobolev_norm(scaled, s) == pytest.approx(
-                2.5 * sobolev_norm(field, s), rel=1e-12)
+        weights = [norm_weights(grid, s) for s in (-0.4, 0.0, 1.0)]
+        norms = weighted_norms(transform_forward(samples, grid).coeffs, weights)
+        scaled = weighted_norms(transform_forward(2.5 * samples, grid).coeffs, weights)
+        for norm, scaled_norm in zip(norms, scaled):
+            assert scaled_norm == pytest.approx(2.5 * norm, rel=1e-12)
 
     def test_monotone_embedding(self):
         rng = np.random.default_rng(14)
         grid = GridSpec(dim=1, length=2 * np.pi, points=64)
         samples = rng.standard_normal(grid.shape)
         samples -= samples.mean()
-        field = transform_forward(samples, grid)
+        coeffs = transform_forward(samples, grid).coeffs
         k_max = 32.0  # N/2 modes at k = m on L = 2*pi
         for s1, s2 in ((1.0, 0.0), (0.5, -0.5), (0.0, -1.0)):
-            lhs = sobolev_norm(field, s1)
-            rhs = k_max ** (s1 - s2) * sobolev_norm(field, s2)
-            assert lhs <= rhs * (1 + 1e-12)
+            lhs, rhs = weighted_norms(coeffs, [norm_weights(grid, s1),
+                                               norm_weights(grid, s2)])
+            assert lhs <= k_max ** (s1 - s2) * rhs * (1 + 1e-12)
 
     def test_zero_mode_policy(self):
+        # every order is homogeneous: the mean carries no weight, even where
+        # |k|^(2s) is infinite at k = 0
         grid = GridSpec(dim=1, length=2.0, points=32)
         field = transform_forward(np.ones(grid.shape), grid)
-        with pytest.raises(DomainError, match="mean"):
-            sobolev_norm(field, -0.5)
-        # nonnegative orders are homogeneous too: the mean carries no weight
-        assert sobolev_norm(field, 0.0) == sobolev_norm(field, 0.5) == 0.0
+        orders = (-0.5, 0.0, 0.5)
+        assert all(norm_weights(grid, s)[0] == 0.0 for s in orders)
+        assert weighted_norms(field.coeffs,
+                              [norm_weights(grid, s) for s in orders]) == [0.0] * 3
 
 
 class TestInitialData:
@@ -227,12 +239,16 @@ class TestInitialData:
             assert integral == pytest.approx((2 * np.pi) ** (dim / 2), rel=1e-8)
 
     def test_single_mode_norm_relation(self):
+        # a cosine of mode 5 and amplitude 2 on L = 2*pi: |k| = 5, so each
+        # order scales the physical L2 norm by 5^s
         grid = GridSpec(dim=1, length=2 * np.pi, points=128)
-        data = make_initial_data("single_mode", grid, mode=5, amplitude=2.0)
-        field = transform_forward(data, grid)
-        for s in (0.3, 1.0, -0.4):
-            assert sobolev_norm(field, s) == pytest.approx(
-                5.0 ** s * l2_norm(field), rel=1e-12)
+        field = transform_forward(cosine(grid, 5, amplitude=2.0), grid)
+        orders = (0.3, 1.0, -0.4)
+        l2, *norms = weighted_norms(
+            field.coeffs,
+            [hermitian_weight(grid)] + [norm_weights(grid, s) for s in orders])
+        for s, norm in zip(orders, norms):
+            assert norm == pytest.approx(5.0 ** s * l2, rel=1e-12)
 
     def test_validation(self):
         grid = GridSpec(dim=1, length=10.0, points=32)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from critex import (DomainError, GridSpec, SolverConfig, State,
+from critex import (ContractError, DomainError, GridSpec, SolverConfig, State,
                     make_initial_data, nonlinearity, run, solver, step,
                     transform_forward)
 from critex.fields import (_forward_coeffs, _inverse_samples, dealias_mask,
-                           hermitian_weight, l2_norm, norm_weights,
-                           sobolev_norm, wavenumber_magnitude, weighted_norms)
+                           hermitian_weight, norm_weights, wavenumber_magnitude,
+                           weighted_norms)
 from critex.propagators import forcing_weights, kernel_entries
 from critex.solver import (DEFAULT_GRIDS, STATUS_BLOW_UP, STATUS_COMPLETED,
                            STATUS_STEP_UNDERFLOW, linear_reference)
@@ -117,6 +117,36 @@ class TestStep:
         with pytest.raises(DomainError):
             step(smooth_state(grid), -0.1, config)
 
+    def test_overflow_raises(self):
+        # |1e200|^2 overflows, so the step cannot return a finite state
+        grid = small_grid(points=64)
+        huge = transform_forward(np.full(grid.shape, 1e200), grid)
+        state = State(huge, transform_forward(np.zeros(grid.shape), grid), 0.0)
+        config = SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractError, match="non-finite"):
+                step(state, 0.1, config)
+
+    def test_multipliers_cached_least_recently_used(self, monkeypatch):
+        # two cached step sizes: h1 h2 h1 h3 h2 builds h1, h2, h3, then h2
+        # again, because the repeat of h1 made h2 the one to evict
+        builds = []
+
+        def counting(h, *args, **kwargs):
+            builds.append(h)
+            return forcing_weights(h, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "forcing_weights", counting)
+        solver._entries.cache_clear()
+        grid = small_grid(points=64)
+        state = smooth_state(grid, amplitude=0.1)
+        config = SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0)
+        for h in (0.1, 0.2, 0.1, 0.05, 0.2):
+            step(state, h, config)
+        solver._entries.cache_clear()
+        assert solver._CACHED_STEPS == 2
+        assert builds == [0.1, 0.2, 0.05, 0.2]
+
 
 class TestForcingStructure:
     def test_duhamel_increment_nonnegative(self):
@@ -215,9 +245,12 @@ class TestRun:
             config = SolverConfig(p=2.0, eps=0.3, dt=0.02, t_end=0.1)
             result = run(config, u0, u0, grid, 0.75, 0.5)
             field = transform_forward(config.eps * u0, grid)
-            assert result.l2[0] == l2_norm(field)
-            assert result.hs[0] == sobolev_norm(field, 0.75)
-            assert result.hneg[0] == sobolev_norm(field, -0.5)
+            l2, hs, hneg = weighted_norms(field.coeffs, [
+                hermitian_weight(grid), norm_weights(grid, 0.75),
+                norm_weights(grid, -0.5)])
+            assert result.l2[0] == l2
+            assert result.hs[0] == hs
+            assert result.hneg[0] == hneg
 
     def test_history_structure(self):
         grid = small_grid()
