@@ -16,8 +16,7 @@ from .exponents import (Regime, RegimeParams, RegimeVerdict, alpha0,
                         sharp_lifespan_admissible)
 from .fields import (GridSpec, SpectrumField, make_initial_data, transform_forward,
                      transform_inverse)
-from .propagators import (PropagatorMatrix, forcing_weights, heat_multiplier,
-                          kernel_entries, propagate, propagator)
+from .propagators import forcing_weights, heat_multiplier, kernel_entries
 from .radial import (DecayCurve, RadialProfile, RateFit, diffusion_difference,
                      evolve_damped, evolve_heat, fit_rate, gaussian_profile,
                      log_radial_grid, norm_radial, power_law_profile)

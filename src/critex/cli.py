@@ -11,9 +11,9 @@ command's only description:
   default is required unless its type admits ``None``;
 * ``--config FILE`` reads a flat JSON object keyed by parameter name (with
   ``_``); explicit flags win over it, and ``null`` stands for the default.
-  An unknown key, a value that cannot be read as its type, or a ``kind``
-  other than the command is an error, so a run's ``config.json`` re-runs
-  it.
+  An unknown key, a value that cannot be read as its type (a float must
+  be finite), or a ``kind`` other than the command is an error, so a run's
+  ``config.json`` re-runs it.
 
 A run command prints ``run_dir`` plus the run's ``report.json``;
 ``exponents`` prints a JSON payload and ``probe`` a CSV table.  Run
@@ -28,6 +28,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -37,7 +38,7 @@ from .errors import CritexError
 from .exponents import (RegimeParams, alpha0, classify_regime, gamma_tilde,
                         lifespan_exponent, p_crit, p_fujita,
                         sharp_lifespan_admissible)
-from .propagators import propagator
+from .propagators import kernel_entries
 
 
 def exponents(n: float, gamma: float, p: float | None = None,
@@ -64,13 +65,15 @@ def exponents(n: float, gamma: float, p: float | None = None,
 
 
 def probe(t: list[float], r: list[float]) -> str:
-    """Propagator entries at every (t, r) pair, as CSV."""
+    """Propagator entries at every (t, r) pair, as CSV; once all four have
+    decayed below 1e-300 (t > 0) they print as 0.0, not subnormals or -0.0."""
     lines = ["t,r,k00,k01,k10,k11\n"]
     for time in t:
         for radius in r:
-            mat = propagator(time, radius)
-            lines.append(f"{time!r},{radius!r},{mat.k00!r},{mat.k01!r},"
-                         f"{mat.k10!r},{mat.k11!r}\n")
+            entries = [float(k[0]) for k in kernel_entries(time, [radius])]
+            if time > 0 and all(abs(k) < 1e-300 for k in entries):
+                entries = [0.0] * 4
+            lines.append(",".join(map(repr, [time, radius, *entries])) + "\n")
     return "".join(lines)
 
 
@@ -127,7 +130,10 @@ def _scalar(kind: type, value):
         raise TypeError(value)
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
-    return kind(value)
+    value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(value)
+    return value
 
 
 def _read_config(path: str, command: str, names) -> dict:

@@ -232,6 +232,8 @@ def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:
         raise DomainError("eps schedule needs at least two points")
+    if not all(0 < eps < float("inf") for eps in eps_schedule):
+        raise DomainError(f"eps schedule must be positive and finite: {eps_schedule}")
     ratios = [eps_schedule[i + 1] / eps_schedule[i] for i in range(len(eps_schedule) - 1)]
     if any(r <= 0 for r in ratios) or (not all(r > 1 for r in ratios)
                                        and not all(r < 1 for r in ratios)):

@@ -33,7 +33,6 @@ and the three regimes that keep them accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,25 +48,6 @@ _TAYLOR_TERMS = 30
 _PHI_TERMS = 20
 _PHI1_COEFFS = np.array([1.0 / math.factorial(j + 1) for j in range(_PHI_TERMS)])
 _PHI2_COEFFS = np.array([1.0 / math.factorial(j + 2) for j in range(_PHI_TERMS)])
-
-_UNDERFLOW_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """Fundamental-matrix entries at fixed (t, r); identity at t = 0.
-
-    Once all four have decayed below 1e-300 (t > 0), all four are +0.0
-    rather than subnormals or -0.0.
-    """
-
-    k00: float
-    k01: float
-    k10: float
-    k11: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.k00, self.k01], [self.k10, self.k11]])
 
 
 def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -206,42 +186,8 @@ def forcing_weights(t: float, r: np.ndarray | float, entries=None):
     return i0, i1, k01, i0 / t
 
 
-def propagator(t: float, r: float) -> PropagatorMatrix:
-    """Fundamental matrix at (t, r), stable across the r = 1/2 branch point."""
-    if r < 0:
-        raise DomainError(f"radial frequency must be nonnegative, got {r}")
-    arr = np.array([r], dtype=float)
-    k00, k01, k10, k11 = kernel_entries(t, arr)
-    entries = (float(k00[0]), float(k01[0]), float(k10[0]), float(k11[0]))
-    if t > 0 and all(abs(e) < _UNDERFLOW_FLOOR for e in entries):
-        entries = (0.0, 0.0, 0.0, 0.0)
-    return PropagatorMatrix(*entries)
-
-
 def heat_multiplier(t: float, r: np.ndarray | float):
     """Heat semigroup multiplier exp(-r^2 t)."""
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
     return np.exp(-np.asarray(r, dtype=float) ** 2 * t)
-
-
-def propagate(kind: str, t: float, r: np.ndarray, a: np.ndarray,
-              b: np.ndarray | None = None, k00: np.ndarray | None = None,
-              heat: np.ndarray | None = None):
-    """Flow ``kind`` of spectral data (a, b) at scalar time t and frequencies r:
-    "damped" k00 a + k01 b, "heat" e^{-r^2 t} (a + b), "difference" damped - heat.
-
-    ``b=None`` is zero velocity data (k00 a, e^{-r^2 t} a); then a caller may
-    pass ``k00 = kernel_entries(t, r)[0]`` and ``heat = heat_multiplier(t, r)``."""
-    if kind not in ("damped", "heat", "difference"):
-        raise DomainError(f"unknown linear flow {kind!r}")
-    if kind != "damped":
-        if heat is None or b is not None:
-            heat = heat_multiplier(t, r)
-        heat_flow = heat * (a if b is None else a + b)
-        if kind == "heat":
-            return heat_flow
-    if k00 is None or b is not None:
-        k00, k01, _, _ = kernel_entries(t, r)
-    damped = k00 * a if b is None else k00 * a + k01 * b
-    return damped if kind == "damped" else damped - heat_flow

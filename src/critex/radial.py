@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ContractError, DomainError, InsufficientDataError
-from .propagators import heat_multiplier, kernel_entries, propagate
+from .propagators import heat_multiplier, kernel_entries
 
 DEFAULT_R_MIN = 1e-6
 DEFAULT_R_MAX = 1e3
@@ -158,10 +158,11 @@ def norm_radial(profile: RadialProfile, s: float) -> float:
 # evolutions
 # ---------------------------------------------------------------------------
 
-# Process-wide memo of the multipliers k00(t, r) and e^{-r^2 t} on one radial
-# grid, keyed by name and the exact float t: every rate suite samples the same
-# times on the same grid.  Least recently used arrays go first past the budget
-# (256 at DEFAULT_POINTS, so a diffusion suite's 2 x 96 fit); all read-only.
+# Process-wide memo of the multipliers k00(t, r), k01(t, r) and e^{-r^2 t} on
+# one radial grid, keyed by name and the exact float t: every rate suite
+# samples the same times on the same grid.  k01 is formed only for velocity
+# data.  Least recently used arrays go first past the budget (256 at
+# DEFAULT_POINTS, so a diffusion suite's 2 x 96 fit); all read-only.
 _MEMO_BUDGET_BYTES = 8 * 1024 * 1024
 _memo_grid = np.empty(0)
 _memo: dict[tuple[str, float], np.ndarray] = {}
@@ -170,7 +171,8 @@ _memo: dict[tuple[str, float], np.ndarray] = {}
 def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
     multiplier = _memo.pop((name, t), None)
     if multiplier is None:
-        multiplier = kernel_entries(t, r)[0] if name == "k00" else heat_multiplier(t, r)
+        multiplier = heat_multiplier(t, r) if name == "heat" else \
+            kernel_entries(t, r)[0 if name == "k00" else 1]
         multiplier.flags.writeable = False
     _memo[name, t] = multiplier
     while len(_memo) * multiplier.nbytes > _MEMO_BUDGET_BYTES:
@@ -181,7 +183,7 @@ def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
 def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
            times: np.ndarray, s: float, gamma: float) -> DecayCurve:
     """Order-s norm history of the linear flow ``kind`` of the pair (v0, v1);
-    ``v1=None`` is zero velocity data, whose multipliers come from the memo."""
+    ``v1=None`` is zero velocity data."""
     global _memo_grid
     if v1 is not None and (v0.dim != v1.dim or v0.r.shape != v1.r.shape
                            or not np.array_equal(v0.r, v1.r)):
@@ -190,19 +192,22 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
     for profile in (v0,) if v1 is None else (v0, v1):
         norm_radial(profile, s)
         norm_radial(profile, -gamma)
-    memo = v1 is None
-    if memo and not np.array_equal(_memo_grid, v0.r):
+    if not np.array_equal(_memo_grid, v0.r):
         _memo.clear()
         _memo_grid = v0.r.copy()
     times = np.asarray(times, dtype=float)
     norms = np.empty_like(times)
     weight, steps, sigma = (v0.r ** (2.0 * s + v0.dim), np.diff(np.log(v0.r)),
                             sphere_surface(v0.dim))
-    b = None if v1 is None else v1.values
+    a, b = v0.values, None if v1 is None else v1.values
     for i, t in enumerate(times.tolist()):
-        k00 = _multiplier("k00", t, v0.r) if memo and kind != "heat" else None
-        heat = _multiplier("heat", t, v0.r) if memo and kind != "damped" else None
-        flow = propagate(kind, t, v0.r, v0.values, b, k00=k00, heat=heat)
+        if kind != "heat":
+            flow = _multiplier("k00", t, v0.r) * a
+            if b is not None:
+                flow += _multiplier("k01", t, v0.r) * b
+        if kind != "damped":
+            heat_flow = _multiplier("heat", t, v0.r) * (a if b is None else a + b)
+            flow = heat_flow if kind == "heat" else flow - heat_flow
         norms[i] = _plancherel(flow, weight, steps, sigma)
         # a non-finite flow gives a non-finite sum (its peak passes the tail check)
         if not math.isfinite(norms[i]) and not np.isfinite(flow).all():

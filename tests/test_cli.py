@@ -391,6 +391,15 @@ class TestRunInputFailsFast:
                          "--N", "256", "--L", "50")
         assert "eps schedule must be strictly monotone geometric" in err
 
+    @pytest.mark.parametrize("flag", ["--eps-start", "--eps-factor"])
+    def test_lifespan_zero_eps(self, capsys, tmp_path, flag):
+        eps = {"--eps-start": "1", "--eps-factor": "0.5", flag: "0"}
+        err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
+                         "--gamma", "0.5", "--s", "1", "--p", "2",
+                         *(arg for pair in eps.items() for arg in pair),
+                         "--N", "256", "--L", "50")
+        assert "eps schedule must be positive and finite" in err
+
     def test_lifespan_bad_dt_before_worker_pool(self, capsys, tmp_path,
                                                 monkeypatch):
         # every sweep point's SolverConfig is validated before a pool starts
@@ -428,6 +437,42 @@ class TestRunInputFailsFast:
         err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
                          "--s", "1", "--profile", "gaussian", flag, value)
         assert "points >= 1 and t0 > 0" in err
+
+
+class TestNonFiniteInput:
+    """nan and inf are refused as a flag and as a --config value: exit 2, one
+    error line, no run directory."""
+
+    VALID = {
+        "linear-decay": {"n": 2.0, "gamma": 0.7, "s": 1.0, "profile": "gaussian"},
+        "evolve": {"dim": 1, "p": 2.0, "gamma": 0.5, "tend": 1.0, "N": 256,
+                   "eps": 0.05},
+        "phase-diagram": {"n": 1.0, "s": 1.0, "gamma_min": 0.1, "gamma_max": 0.4,
+                          "gamma_steps": 2, "p_min": 1.5, "p_max": 3.0,
+                          "p_steps": 2},
+        "probe": {"t": [1.0], "r": [0.0]},
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, name", [
+        ("linear-decay", "n"), ("evolve", "eps"), ("phase-diagram", "gamma_min"),
+        ("probe", "t")])
+    def test_rejected(self, capsys, tmp_path, command, name, source, value):
+        stored = dict(self.VALID[command])
+        flag = "--" + name.replace("_", "-")
+        argv = [f"{flag}={value!r}"] if source == "flag" else []
+        if source == "config":
+            stored[name] = [value] if isinstance(stored[name], list) else value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(stored))  # nan and inf as NaN, Infinity
+        out_dir = tmp_path / "out"
+        if command != "probe":
+            argv += ["--out", str(out_dir)]
+        code, out, err = run_cli(capsys, command, *argv, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: cannot read") and err.count("\n") == 1
+        assert not out_dir.exists()
 
 
 EVOLVE_FLAGS = ("evolve", "--dim", "1", "--p", "2", "--gamma", "0.5",

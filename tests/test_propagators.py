@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from critex import (DomainError, GridSpec, forcing_weights, heat_multiplier,
-                    kernel_entries, propagate, propagator, transform_forward)
+                    kernel_entries, transform_forward)
+from critex.cli import probe
 from critex.fields import axis_coordinates, wavenumber_magnitude
 
 TEST_RADII = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 60)))
@@ -29,30 +30,38 @@ def _naive_matrix(t, r):
     return np.array([[k00.real, k01.real], [k10.real, k11.real]])
 
 
+def entries(t, r):
+    """(k00, k01, k10, k11) at scalar (t, r), as floats."""
+    return tuple(float(k[0]) for k in kernel_entries(t, np.array([r])))
+
+
+def matrix(t, r):
+    """Fundamental matrix [[k00, k01], [k10, k11]] at scalar (t, r)."""
+    return np.array(entries(t, r)).reshape(2, 2)
+
+
 class TestPropagatorMatrix:
     def test_identity_at_zero(self):
         for r in (0.0, 0.3, 0.5, 2.0, 100.0):
-            mat = propagator(0.0, r)
-            assert (mat.k00, mat.k01, mat.k10, mat.k11) == (1.0, 0.0, 0.0, 1.0)
+            assert entries(0.0, r) == (1.0, 0.0, 0.0, 1.0)
 
     def test_zero_frequency_kernel(self):
-        mat = propagator(1.0, 0.0)
-        assert mat.k01 == pytest.approx(1 - math.exp(-1), abs=1e-15)
-        assert mat.k00 == pytest.approx(1.0, abs=1e-15)
-        assert mat.k11 == pytest.approx(math.exp(-1), abs=1e-15)
-        assert mat.k10 == 0.0
+        k00, k01, k10, k11 = entries(1.0, 0.0)
+        assert k01 == pytest.approx(1 - math.exp(-1), abs=1e-15)
+        assert k00 == pytest.approx(1.0, abs=1e-15)
+        assert k11 == pytest.approx(math.exp(-1), abs=1e-15)
+        assert k10 == 0.0
 
     def test_zero_frequency_k10_is_positive_zero(self):
         # k10 = -r^2 k01 vanishes at r = 0 as +0.0, so probe tables print 0.0
         for t in (0.0, 0.5, 1.0, 40.0, 1480.0):
             k10 = float(kernel_entries(t, TEST_RADII)[2][0])
             assert k10 == 0.0 and math.copysign(1.0, k10) == 1.0
-            assert math.copysign(1.0, propagator(t, 0.0).k10) == 1.0
+            assert math.copysign(1.0, entries(t, 0.0)[2]) == 1.0
 
     def test_double_root_value(self):
         # confluent limit: k01 = t * exp(-t/2)
-        mat = propagator(2.0, 0.5)
-        assert mat.k01 == pytest.approx(2 * math.exp(-1), abs=1e-14)
+        assert entries(2.0, 0.5)[1] == pytest.approx(2 * math.exp(-1), abs=1e-14)
 
     def test_series_oracle_near_branch(self):
         # independent oracle: exact 40-term series of sum z^j/(2j+1)! via fsum
@@ -61,22 +70,21 @@ class TestPropagatorMatrix:
 
         t, r = 2.0, 0.5000001
         z = 0.25 * t * t * (1 - 4 * r * r)
-        mat = propagator(t, r)
         expected = math.exp(-t / 2) * t * confluent_g(z)
-        assert mat.k01 == pytest.approx(expected, rel=1e-13)
+        assert entries(t, r)[1] == pytest.approx(expected, rel=1e-13)
 
     def test_first_column_relation(self):
         for r in TEST_RADII:
             for t in (0.1, 1.0, 7.3):
-                mat = propagator(t, float(r))
-                assert abs(mat.k10 + r * r * mat.k01) \
-                    <= 1e-12 * max(1.0, abs(r * r * mat.k01))
+                _, k01, k10, _ = entries(t, r)
+                assert abs(k10 + r * r * k01) \
+                    <= 1e-12 * max(1.0, abs(r * r * k01))
 
     def test_determinant(self):
         for r in TEST_RADII:
             for t in (0.2, 1.0, 5.0, 20.0):
-                mat = propagator(t, float(r))
-                det = mat.k00 * mat.k11 - mat.k01 * mat.k10
+                k00, k01, k10, k11 = entries(t, r)
+                det = k00 * k11 - k01 * k10
                 assert abs(det - math.exp(-t)) < 1e-10
 
     def test_group_property(self):
@@ -84,9 +92,8 @@ class TestPropagatorMatrix:
         worst = 0.0
         for r in TEST_RADII:
             for t1, t2 in pairs:
-                once = propagator(t1 + t2, float(r)).as_array()
-                composed = propagator(t2, float(r)).as_array() @ \
-                    propagator(t1, float(r)).as_array()
+                once = matrix(t1 + t2, r)
+                composed = matrix(t2, r) @ matrix(t1, r)
                 worst = max(worst, np.max(np.abs(once - composed)))
         assert worst < 1e-10
 
@@ -94,9 +101,9 @@ class TestPropagatorMatrix:
         h = 1e-4
         for r in (0.0, 0.3, 0.49, 0.5, 0.51, 0.7, 1.0, 2.0):
             for t in (0.5, 1.0, 3.0):
-                k_plus = propagator(t + h, r).k01
-                k_mid = propagator(t, r).k01
-                k_minus = propagator(t - h, r).k01
+                k_plus = entries(t + h, r)[1]
+                k_mid = entries(t, r)[1]
+                k_minus = entries(t - h, r)[1]
                 second = (k_plus - 2 * k_mid + k_minus) / (h * h)
                 first = (k_plus - k_minus) / (2 * h)
                 assert abs(second + first + r * r * k_mid) < 1e-6
@@ -109,12 +116,12 @@ class TestPropagatorMatrix:
         # independent oracle at the 1e-10 level.
         for t in (0.1, 1.0, 5.0, 10.0):
             for r in (0.5 - 1e-8, 0.5 + 1e-8):
-                ours = propagator(t, r).as_array()
+                ours = matrix(t, r)
                 oracle = _naive_matrix(t, r)
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(ours - oracle)) < 1e-10 * scale
-            below = propagator(t, 0.5 - 1e-8).as_array()
-            above = propagator(t, 0.5 + 1e-8).as_array()
+            below = matrix(t, 0.5 - 1e-8)
+            above = matrix(t, 0.5 + 1e-8)
             scale = np.max(np.abs(below))
             assert np.max(np.abs(below - above)) < 1e-5 * scale  # no gross jump
 
@@ -123,36 +130,33 @@ class TestPropagatorMatrix:
         h = 1e-6
         for r in (0.2, 0.5, 1.5):
             t = 1.3
-            plus = propagator(t + h, r)
-            minus = propagator(t - h, r)
-            mid = propagator(t, r)
-            assert (plus.k00 - minus.k00) / (2 * h) == pytest.approx(mid.k10, abs=1e-7)
-            assert (plus.k01 - minus.k01) / (2 * h) == pytest.approx(mid.k11, abs=1e-7)
+            plus00, plus01, _, _ = entries(t + h, r)
+            minus00, minus01, _, _ = entries(t - h, r)
+            _, _, k10, k11 = entries(t, r)
+            assert (plus00 - minus00) / (2 * h) == pytest.approx(k10, abs=1e-7)
+            assert (plus01 - minus01) / (2 * h) == pytest.approx(k11, abs=1e-7)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            propagator(-1.0, 0.5)
+            entries(-1.0, 0.5)
 
     def test_flush_to_zero(self):
-        # fully decayed entries come back as +0.0, never subnormal or -0.0
+        # `critex probe` prints fully decayed entries as +0.0, never as the
+        # subnormal or -0.0 that kernel_entries gives
         subnormal = [float(e[0]) for e in kernel_entries(1480.0, np.array([2.0]))]
         assert all(0 < abs(e) < sys.float_info.min for e in subnormal)  # ~1e-322
         signed = [float(e[0]) for e in kernel_entries(3000.0, np.array([2.0]))]
         assert any(e == 0.0 and math.copysign(1.0, e) < 0 for e in signed)
         for t in (1480.0, 3000.0):
-            mat = propagator(t, 2.0)
-            for entry in (mat.k00, mat.k01, mat.k10, mat.k11):
+            row = probe([t], [2.0]).splitlines()[1]
+            for entry in map(float, row.split(",")[2:]):
                 assert entry == 0.0 and math.copysign(1.0, entry) == 1.0
 
     def test_vectorized_matches_scalar(self):
         radii = np.array([0.0, 0.2, 0.5, 0.50001, 1.0, 30.0])
         k00, k01, k10, k11 = kernel_entries(1.7, radii)
         for i, r in enumerate(radii):
-            mat = propagator(1.7, float(r))
-            assert k00[i] == mat.k00
-            assert k01[i] == mat.k01
-            assert k10[i] == mat.k10
-            assert k11[i] == mat.k11
+            assert (k00[i], k01[i], k10[i], k11[i]) == entries(1.7, r)
 
 
 class TestHeatMultiplier:
@@ -166,45 +170,12 @@ class TestHeatMultiplier:
         np.testing.assert_allclose(heat_multiplier(2.0, r), np.exp(-2 * r**2))
 
 
-class TestPropagate:
-    def data(self):
-        rng = np.random.default_rng(5)
-        r = np.geomspace(1e-3, 10.0, 41)
-        a = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-        b = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-        return r, a, b
-
-    def test_flows_are_the_multipliers(self):
-        r, a, b = self.data()
-        for t in (0.0, 0.3, 7.0):
-            k00, k01, _, _ = kernel_entries(t, r)
-            heat = heat_multiplier(t, r) * (a + b)
-            np.testing.assert_array_equal(propagate("damped", t, r, a, b),
-                                          k00 * a + k01 * b)
-            np.testing.assert_array_equal(propagate("heat", t, r, a, b), heat)
-            np.testing.assert_array_equal(propagate("difference", t, r, a, b),
-                                          k00 * a + k01 * b - heat)
-
-    def test_identity_at_zero(self):
-        r, a, b = self.data()
-        np.testing.assert_allclose(propagate("damped", 0.0, r, a, b), a, rtol=1e-15)
-        np.testing.assert_allclose(propagate("heat", 0.0, r, a, b), a + b, rtol=1e-15)
-
-    def test_rejects_bad_input(self):
-        r, a, b = self.data()
-        with pytest.raises(DomainError, match="unknown linear flow"):
-            propagate("wave", 1.0, r, a, b)
-        for kind in ("damped", "heat", "difference"):
-            with pytest.raises(DomainError):
-                propagate(kind, -1.0, r, a, b)
-
-
 class TestApplyLinear:
     """The damped flow applied to a spectral (u, u_t) pair on a grid."""
 
     def flow(self, u, ut, t):
-        return propagate("damped", t, wavenumber_magnitude(u.grid),
-                         u.coeffs, ut.coeffs)
+        k00, k01, _, _ = kernel_entries(t, wavenumber_magnitude(u.grid))
+        return k00 * u.coeffs + k01 * ut.coeffs
 
     def test_identity_at_zero(self):
         grid = GridSpec(dim=1, length=2 * np.pi, points=64)
@@ -299,12 +270,12 @@ def within_pointwise_bounds(t, r):
     """|k00| <= C0 (r^2 e^{-ct} + e^{-c r^2 t}) and
     |k01| <= C1 min(1, 1/r) (e^{-ct} + e^{-c r^2 t}), c = 1/4, C0 = C1 = 8."""
     rate, c0, c1 = 0.25, 8.0, 8.0
-    mat = propagator(t, r)
+    k00, k01, _, _ = entries(t, r)
     decay_t = math.exp(-rate * t)
     decay_rt = math.exp(-rate * r * r * t)
     cap = 1.0 if r <= 1.0 else 1.0 / r
-    return (abs(mat.k00) <= c0 * (r * r * decay_t + decay_rt)
-            and abs(mat.k01) <= c1 * cap * (decay_t + decay_rt))
+    return (abs(k00) <= c0 * (r * r * decay_t + decay_rt)
+            and abs(k01) <= c1 * cap * (decay_t + decay_rt))
 
 
 class TestPointwiseBounds:

@@ -296,7 +296,7 @@ class TestFitRate:
 class TestDimensionKnob:
     def test_matches_grid_rates(self):
         # same spectral data shape on the periodic grid and in the radial lab
-        from critex import GridSpec, propagate
+        from critex import GridSpec
         from critex.fields import wavenumber_magnitude
 
         def shape(r):
@@ -310,10 +310,9 @@ class TestDimensionKnob:
             grid = GridSpec(dim=dim, length=length, points=points)
             kmag = wavenumber_magnitude(grid)
             coeffs = shape(kmag).astype(complex)  # real, even: Hermitian
-            zero = np.zeros_like(coeffs)
             norms = []
             for t in times:
-                evolved = propagate("damped", float(t), kmag, coeffs, zero)
+                evolved = kernel_entries(float(t), kmag)[0] * coeffs
                 norms.append(float(np.sqrt(np.sum(np.abs(evolved) ** 2))))
             grid_fit = fit_rate(DecayCurve(times, np.array(norms), 0.0, 0.0,
                                            kind="damped"), window)
@@ -334,8 +333,7 @@ class TestDimensionKnob:
 
 
 class TestKernelMemo:
-    """The process-wide memo of k00(t, r) and e^{-r^2 t} for curves with zero
-    velocity data."""
+    """The process-wide memo of k00(t, r), k01(t, r) and e^{-r^2 t}."""
 
     SUITE = (3.0, 0.6, 1.0, "powerlaw:a=0.85")
 
@@ -362,13 +360,20 @@ class TestKernelMemo:
         return self.count(monkeypatch, kernel_entries)
 
     @staticmethod
-    def reference(curve, v0):
-        # the flow of (v0, 0) with the zero velocity data spelled out
-        zero = np.zeros_like(v0.values)
-        return np.array([
-            norm_radial(v0.with_values(propagators.propagate(
-                curve.kind, float(t), v0.r, v0.values, zero)), curve.s)
-            for t in curve.times])
+    def reference(curve, v0, v1=None):
+        # the flow of (v0, v1) formed from fresh multipliers, zero velocity
+        # data spelled out
+        a = v0.values
+        b = np.zeros_like(a) if v1 is None else v1.values
+        norms = []
+        for t in curve.times.tolist():
+            k00, k01, _, _ = kernel_entries(t, v0.r)
+            damped = k00 * a + k01 * b
+            heat = heat_multiplier(t, v0.r) * (a + b)
+            flow = {"damped": damped, "heat": heat,
+                    "difference": damped - heat}[curve.kind]
+            norms.append(norm_radial(v0.with_values(flow), curve.s))
+        return np.array(norms)
 
     def test_curves_bitwise_equal_cold_warm_and_reference(self):
         v0 = power_law_profile(3.0, 0.85)
@@ -381,16 +386,29 @@ class TestKernelMemo:
                 np.testing.assert_array_equal(curve.norms, warm[key].norms)
                 np.testing.assert_array_equal(curve.norms, self.reference(curve, v0))
 
-    def test_none_velocity_matches_zeros_up_to_sign(self):
-        r = log_radial_grid(256)
-        a = np.where(r <= 1.0, r ** -0.5, 0.0)
-        k00, heat = kernel_entries(30.0, r)[0], heat_multiplier(30.0, r)
-        for kind in ("damped", "heat", "difference"):
-            zeros = np.abs(propagators.propagate(kind, 30.0, r, a, np.zeros_like(a)))
-            for given in ({}, {"k00": k00}, {"heat": heat},
-                          {"k00": k00, "heat": heat}):
-                flow = propagators.propagate(kind, 30.0, r, a, **given)
-                np.testing.assert_array_equal(np.abs(flow), zeros)
+    def test_none_velocity_matches_zero_velocity(self):
+        v0 = power_law_profile(3.0, 0.85)
+        zeros = v0.with_values(np.zeros_like(v0.values))
+        times = np.geomspace(1.0, 1e3, 16)
+        for evolve in (evolve_damped, evolve_heat, diffusion_difference):
+            np.testing.assert_array_equal(evolve(v0, None, times, 1.0, 0.6).norms,
+                                          evolve(v0, zeros, times, 1.0, 0.6).norms)
+
+    def test_warm_velocity_curve_forms_no_kernel(self, monkeypatch, kernel_calls):
+        heat_calls = self.count(monkeypatch, heat_multiplier)
+        v0 = power_law_profile(3.0, 0.85)
+        v1 = v0.with_values(0.5 * v0.values)
+        times = np.geomspace(1.0, 1e3, 16)
+        diffusion_difference(v0, v1, times, 1.0, 0.6)
+        # k00 and k01 are formed apart, each once per time
+        assert len(kernel_calls) == 2 * times.size
+        assert len(heat_calls) == times.size
+        kernel_calls.clear()
+        heat_calls.clear()
+        for evolve in (evolve_damped, evolve_heat, diffusion_difference):
+            warm = evolve(v0, v1, times, 1.0, 0.6)
+            np.testing.assert_array_equal(warm.norms, self.reference(warm, v0, v1))
+        assert kernel_calls == heat_calls == []
 
     def test_suites_form_each_kernel_once(self, monkeypatch, kernel_calls):
         heat_calls = self.count(monkeypatch, heat_multiplier)
