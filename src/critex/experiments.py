@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -31,8 +30,8 @@ from .errors import ContractError, DomainError, InsufficientDataError
 from .exponents import (Regime, RegimeParams, classify_regime, conjugate_exponent,
                         lifespan_exponent, p_crit, sharp_lifespan_admissible)
 from .fields import GridSpec, _radius_squared, make_initial_data
-from .radial import (DEFAULT_FIT_WINDOW, RateFit, fit_rate,
-                     gaussian_profile, power_law_profile)
+from .radial import (DEFAULT_FIT_WINDOW, fit_rate, gaussian_profile,
+                     power_law_profile)
 from .solver import (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW, SolverConfig,
                      run)
 
@@ -80,24 +79,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 # radial data from CLI-style profile strings
 # ---------------------------------------------------------------------------
 
-def parse_profile(spec: str) -> tuple[str, dict]:
-    """Parse ``powerlaw:a=0.25`` or ``gaussian:w=1.0`` into (kind, params)."""
-    kind, _, tail = spec.partition(":")
-    params = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, value = item.partition("=")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise DomainError(f"profile parameter {item!r} in {spec!r} is not "
-                                  "<key>=<number>") from None
-    return kind.strip(), params
-
-
 def build_profile(spec: str, n: float) -> radial.RadialProfile:
     """``powerlaw:a=<a>`` (v_hat = r^-a) or ``gaussian[:w=<w>]`` (w = 1 by default)."""
-    kind, params = parse_profile(spec)
+    kind, _, tail = spec.partition(":")
+    params = {}
+    for item in tail.split(",") if tail else ():
+        key, _, value = item.partition("=")
+        try:
+            params[key.strip()] = float(value)
+        except ValueError:
+            raise DomainError(f"profile parameter {item!r} in {spec!r} is not "
+                              "<key>=<number>") from None
+    kind = kind.strip()
     if kind == "powerlaw" and set(params) == {"a"}:
         return power_law_profile(n, params["a"])
     if kind == "gaussian" and set(params) <= {"w"}:
@@ -108,17 +101,6 @@ def build_profile(spec: str, n: float) -> radial.RadialProfile:
 # ---------------------------------------------------------------------------
 # decay and diffusion suites
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SuiteFit:
-    fit: RateFit
-    predicted_rate: float
-
-    def to_json(self) -> dict:
-        payload = self.fit.to_json()
-        payload["predicted_rate"] = self.predicted_rate
-        return payload
-
 
 def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
                   points: int):
@@ -137,12 +119,14 @@ def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
 def run_decay_suite(n: float, gamma: float, s: float, profile: str,
                     t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped-wave decay fits at orders 0 and s against the predictions
-    -gamma/2 and -(s+gamma)/2.  Returns ({order: SuiteFit}, {order: curve})."""
+    -gamma/2 and -(s+gamma)/2.  Returns ({order: fit}, {order: curve}), each
+    fit being ``fit_rate``'s JSON plus its ``predicted_rate``."""
     v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
     predicted = {0.0: -gamma / 2.0, s: -(s + gamma) / 2.0}
     curves = {order: radial.evolve_damped(v0, None, times, order, gamma)
               for order in predicted}
-    fits = {order: SuiteFit(fit_rate(curve, window), predicted[order])
+    fits = {order: {**fit_rate(curve, window).to_json(),
+                    "predicted_rate": predicted[order]}
             for order, curve in curves.items()}
     return fits, curves
 
@@ -160,9 +144,10 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
     base_rate = -(s + gamma) / 2.0
     predicted = {"damped": base_rate, "heat": base_rate,
                  "difference": base_rate - 1.0}
-    fits = {kind: SuiteFit(fit_rate(curve, window), predicted[kind])
+    fits = {kind: {**fit_rate(curve, window).to_json(),
+                   "predicted_rate": predicted[kind]}
             for kind, curve in curves.items()}
-    gain = fits["difference"].fit.slope - fits["damped"].fit.slope
+    gain = fits["difference"]["slope"] - fits["damped"]["slope"]
     return fits, curves, gain
 
 
@@ -170,118 +155,11 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
 # lifespan sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    eps: float
-    lifespan: float
-    status: str
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    predicted_slope: float | None
-    fitted_slope: float | None
-    intercept: float | None
-    relative_deviation: float | None
-    refused: bool
-    regime: str
-
-    def blow_up_rows(self) -> list[SweepRow]:
-        return [r for r in self.rows
-                if r.status in (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW)]
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [{"eps": r.eps, "lifespan": r.lifespan, "status": r.status}
-                     for r in self.rows],
-            "predicted_slope": self.predicted_slope,
-            "fitted_slope": self.fitted_slope,
-            "intercept": self.intercept,
-            "relative_deviation": self.relative_deviation,
-            "refused": self.refused,
-            "regime": self.regime,
-        }
-
-
-def fit_sweep_slope(eps: np.ndarray, lifespans: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log T against log eps."""
-    slope, intercept = np.polyfit(np.log(eps), np.log(lifespans), 1)
-    return float(slope), float(intercept)
-
-
 def _lifespan_point(grid: GridSpec, config: SolverConfig, gamma: float,
-                    s: float) -> SweepRow:
+                    s: float) -> dict:
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=gamma)
     result = run(config, data, data, grid, s, gamma)
-    return SweepRow(config.eps, result.lifespan, result.status)
-
-
-def run_lifespan_sweep(params: RegimeParams, eps_schedule, grid: GridSpec,
-                       dt: float = 0.02, t_end: float = 2000.0,
-                       theta: float = 1e8, workers: int = 1) -> SweepResult:
-    """Measure the blow-up time over a geometric eps schedule and fit its
-    power law in eps.
-
-    Subcritical parameters must pass ``sharp_lifespan_admissible``;
-    supercritical parameters are allowed but the sweep refuses to fit and
-    reports the completions as existence-consistent.  Strictly critical p
-    is rejected (open regime).  Sweep points may execute in a worker pool;
-    results are merged in schedule order.
-    """
-    eps_schedule = [float(e) for e in eps_schedule]
-    if len(eps_schedule) < 2:
-        raise DomainError("eps schedule needs at least two points")
-    if not all(0 < eps < float("inf") for eps in eps_schedule):
-        raise DomainError(f"eps schedule must be positive and finite: {eps_schedule}")
-    ratios = [eps_schedule[i + 1] / eps_schedule[i] for i in range(len(eps_schedule) - 1)]
-    if any(r <= 0 for r in ratios) or (not all(r > 1 for r in ratios)
-                                       and not all(r < 1 for r in ratios)):
-        raise DomainError("eps schedule must be strictly monotone geometric")
-    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
-        raise DomainError("eps schedule must be geometric (constant ratio)")
-
-    pc = p_crit(params.n, params.gamma)
-    supercritical = params.p > pc
-    if params.p == pc:
-        raise DomainError(
-            f"p = p_crit = {pc!r}: the critical case is outside the sweepable theory")
-    predicted = None
-    if not supercritical:
-        report = sharp_lifespan_admissible(params)
-        if not report.admissible:
-            failed = [r.name for r in report.reasons if not r.passed]
-            raise DomainError(
-                f"parameters violate the sharp-lifespan hypotheses: {failed}")
-        predicted = lifespan_exponent(params.p, params.n, params.gamma)
-
-    configs = [SolverConfig(p=params.p, eps=eps, dt=dt, t_end=t_end, theta=theta)
-               for eps in eps_schedule]
-    point = partial(_lifespan_point, grid, gamma=params.gamma, s=params.s)
-    if workers > 1:
-        # imported here: workers = 1 never pays for the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(point, configs))
-    else:
-        rows = tuple(map(point, configs))
-
-    unfitted = SweepResult(rows, None, None, None, None, refused=True,
-                           regime=Regime.GLOBAL_EXISTENCE.value)
-    blow_up = unfitted.blow_up_rows()
-    if supercritical:
-        return unfitted if not blow_up else replace(unfitted, regime="Mixed")
-
-    if len(blow_up) < 4:
-        raise InsufficientDataError(
-            f"only {len(blow_up)} blow-up rows; need >= 4 to fit the lifespan slope "
-            "(extend t_end or raise the eps schedule)")
-    eps_arr = np.array([r.eps for r in blow_up])
-    t_arr = np.array([r.lifespan for r in blow_up])
-    fitted, intercept = fit_sweep_slope(eps_arr, t_arr)
-    deviation = abs(fitted - predicted) / abs(predicted)
-    return SweepResult(rows, predicted, fitted, intercept, deviation,
-                       refused=False, regime=Regime.BLOW_UP.value)
+    return {"eps": config.eps, "lifespan": result.lifespan, "status": result.status}
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +296,25 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
 # the lifespan sweep and the phase diagram open theirs after computing, and
 # evolve after building its inputs, so bad input leaves no run directory.
 
+def _write_suite(kind: str, params: dict, fits: dict, curves: dict,
+                 **extra) -> tuple[Path, dict]:
+    """A rate suite's run directory: ``curves.csv`` and a report of its fits
+    keyed by ``str(key)``, plus ``extra``."""
+    run_dir = _open_run(kind, params)
+    write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
+              (row for curve in curves.values() for row in curve.csv_rows()))
+    report = {"fits": {str(key): fit for key, fit in fits.items()}, **extra}
+    write_json(run_dir / "report.json", report)
+    return run_dir, report
+
+
 def experiment_linear_decay(n: float, gamma: float, s: float, profile: str,
                             t0: float = 1.0, t1: float = 1e5, points: int = 96,
                             out: str | None = None) -> tuple[Path, dict]:
     """Radial decay-rate suite: fitted rates at orders 0 and s."""
     params = dict(locals())
     fits, curves = run_decay_suite(n, gamma, s, profile, t0, t1, points)
-    run_dir = _open_run("linear-decay", params)
-    write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
-              (row for curve in curves.values() for row in curve.csv_rows()))
-    report = {"fits": {str(order): sf.to_json() for order, sf in fits.items()}}
-    write_json(run_dir / "report.json", report)
-    return run_dir, report
+    return _write_suite("linear-decay", params, fits, curves)
 
 
 def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
@@ -438,13 +323,7 @@ def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
     """Damped/heat/difference rate suite and the parabolic gain."""
     params = dict(locals())
     fits, curves, gain = run_diffusion_suite(n, gamma, s, profile, t0, t1, points)
-    run_dir = _open_run("diffusion", params)
-    write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
-              (row for curve in curves.values() for row in curve.csv_rows()))
-    report = {"fits": {kind: sf.to_json() for kind, sf in fits.items()},
-              "gain": gain}
-    write_json(run_dir / "report.json", report)
-    return run_dir, report
+    return _write_suite("diffusion", params, fits, curves, gain=gain)
 
 
 def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
@@ -528,21 +407,74 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
                         tend: float = 2000.0, theta: float = 1e8,
                         workers: int = 1,
                         out: str | None = None) -> tuple[Path, dict]:
-    """Blow-up time sweep over eps and its fitted power law.
+    """Blow-up time sweep over eps and its fitted power law in eps.
 
     The schedule is eps_start * eps_factor**i for i < count; the defaults
-    give 8 points spanning one decade.
+    give 8 points spanning one decade.  Subcritical parameters must pass
+    ``sharp_lifespan_admissible``.  Supercritical parameters are allowed, but
+    the sweep refuses to fit and reports regime ``GlobalExistence``, or
+    ``Mixed`` if some point blows up.  Strictly critical p is rejected (open
+    regime).  With ``workers`` > 1 the points run in a pool of
+    min(workers, count) processes; rows keep schedule order.
     """
     N, L = _grid_size(dim, N, L)
     params = dict(locals())
     schedule = [eps_start * eps_factor ** i for i in range(count)]
-    sweep = run_lifespan_sweep(RegimeParams(n=float(dim), gamma=gamma, s=s, p=p),
-                               schedule, GridSpec(dim=dim, length=L, points=N),
-                               dt=dt, t_end=tend, theta=theta, workers=workers)
+    if count < 2:
+        raise DomainError("eps schedule needs at least two points")
+    if not all(0 < eps < float("inf") for eps in schedule):
+        raise DomainError(f"eps schedule must be positive and finite: {schedule}")
+    if eps_factor == 1:
+        raise DomainError("eps schedule must be strictly monotone geometric")
+
+    pc = p_crit(float(dim), gamma)
+    supercritical = p > pc
+    if p == pc:
+        raise DomainError(
+            f"p = p_crit = {pc!r}: the critical case is outside the sweepable theory")
+    predicted = None
+    if not supercritical:
+        verdict = sharp_lifespan_admissible(RegimeParams(n=float(dim), gamma=gamma,
+                                                         s=s, p=p))
+        if not verdict.admissible:
+            failed = [r.name for r in verdict.reasons if not r.passed]
+            raise DomainError(
+                f"parameters violate the sharp-lifespan hypotheses: {failed}")
+        predicted = lifespan_exponent(p, float(dim), gamma)
+    configs = [SolverConfig(p=p, eps=eps, dt=dt, t_end=tend, theta=theta)
+               for eps in schedule]
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+
+    point = partial(_lifespan_point, GridSpec(dim=dim, length=L, points=N),
+                    gamma=gamma, s=s)
+    if workers > 1:
+        # imported here: workers = 1 never pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+            rows = list(pool.map(point, configs))
+    else:
+        rows = list(map(point, configs))
+
+    blow_up = [row for row in rows
+               if row["status"] in (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW)]
+    report = {"rows": rows, "predicted_slope": predicted, "fitted_slope": None,
+              "intercept": None, "relative_deviation": None, "refused": True,
+              "regime": "Mixed" if blow_up else Regime.GLOBAL_EXISTENCE.value}
+    if not supercritical:
+        if len(blow_up) < 4:
+            raise InsufficientDataError(
+                f"only {len(blow_up)} blow-up rows; need >= 4 to fit the lifespan "
+                "slope (extend t_end or raise the eps schedule)")
+        fitted, intercept = map(float, np.polyfit(
+            np.log([row["eps"] for row in blow_up]),
+            np.log([row["lifespan"] for row in blow_up]), 1))
+        report.update(fitted_slope=fitted, intercept=intercept,
+                      relative_deviation=abs(fitted - predicted) / abs(predicted),
+                      refused=False, regime=Regime.BLOW_UP.value)
     run_dir = _open_run("lifespan", params)
     write_csv(run_dir / "sweep.csv", ["eps", "T", "status"],
-              ((r.eps, r.lifespan, r.status) for r in sweep.rows))
-    report = sweep.to_json()
+              (row.values() for row in rows))
     write_json(run_dir / "report.json", report)
     return run_dir, report
 

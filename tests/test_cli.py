@@ -413,6 +413,41 @@ class TestRunInputFailsFast:
                          "--dt", "-1", "--workers", "2")
         assert "initial step must be positive" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_lifespan_bad_workers(self, capsys, tmp_path, workers):
+        err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
+                         "--gamma", "0.5", "--s", "1", "--p", "2",
+                         "--eps-start", "1", "--N", "256", "--L", "50",
+                         "--workers", workers)
+        assert f"workers must be at least 1, got {workers}" in err
+
+    def test_lifespan_pool_capped_at_count(self, capsys, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run_cli(capsys, "lifespan", "--dim", "1", "--gamma", "0.3",
+                               "--s", "1", "--p", "5", "--eps-start", "1e-3",
+                               "--count", "4", "--N", "256", "--L", "50",
+                               "--tend", "1", "--workers", "16",
+                               "--out", str(tmp_path))
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 4
+        assert sizes == [4]
+
     def test_phase_diagram_bad_gamma(self, capsys, tmp_path):
         err = self.fails(capsys, tmp_path, "phase-diagram", "--n", "1",
                          "--s", "1", "--gamma-min", "-1", "--gamma-max", "0.4",

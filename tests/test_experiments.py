@@ -1,31 +1,36 @@
+import json
 import math
 import zipfile
 
 import numpy as np
 import pytest
 
-from critex import (DomainError, GridSpec, RegimeParams, experiments,
-                    lifespan_exponent, p_crit, radial, solver)
+from critex import (DomainError, experiments, lifespan_exponent, p_crit,
+                    radial, solver)
 from critex.errors import InsufficientDataError
 from critex.experiments import (build_profile,
                                 emit_phase_diagram, evaluate_testfn_functional,
                                 experiment_evolve, experiment_lifespan,
                                 experiment_linear_decay,
                                 experiment_phase_diagram, experiment_testfn,
-                                exponent_gate, fit_sweep_slope, parse_profile,
-                                run_decay_suite, run_diffusion_suite,
-                                run_lifespan_sweep, space_weight, time_cutoff,
+                                exponent_gate, run_decay_suite,
+                                run_diffusion_suite, space_weight, time_cutoff,
                                 write_csv, write_json)
 
-TINY_GRID = GridSpec(dim=1, length=100 * np.pi, points=2048)
+TINY_GRID = dict(dim=1, N=2048, L=100 * np.pi)
+BLOW_UP = ("BlowUp", "StepUnderflow")
 
 
 class TestProfiles:
     def test_parse(self):
-        assert parse_profile("powerlaw:a=0.25") == ("powerlaw", {"a": 0.25})
-        assert parse_profile("gaussian:w=2.0") == ("gaussian", {"w": 2.0})
-        with pytest.raises(DomainError):
-            parse_profile("powerlaw:a")
+        powerlaw = build_profile("powerlaw:a=0.25", 2)
+        np.testing.assert_array_equal(
+            powerlaw.values, radial.power_law_profile(2, 0.25).values)
+        gaussian = build_profile("gaussian:w=2.0", 2)
+        np.testing.assert_array_equal(
+            gaussian.values, radial.gaussian_profile(2, 2.0).values)
+        with pytest.raises(DomainError, match="is not <key>=<number>"):
+            build_profile("powerlaw:a", 2)
         with pytest.raises(DomainError):
             build_profile("mystery:x=1", 2)
 
@@ -57,12 +62,12 @@ class TestSuites:
         assert set(fits) == {0.0, 1.0}
         # predictions are the theory bounds; the a = n/2 - gamma - 0.05 family
         # decays slightly faster, and never slower (one-sided)
-        assert fits[0.0].predicted_rate == pytest.approx(-0.35)
-        assert fits[1.0].predicted_rate == pytest.approx(-0.85)
-        assert fits[0.0].fit.slope == pytest.approx(-0.375, abs=0.03)
-        assert fits[1.0].fit.slope == pytest.approx(-0.875, abs=0.04)
-        for suite_fit in fits.values():
-            assert suite_fit.fit.slope <= suite_fit.predicted_rate + 0.05
+        assert fits[0.0]["predicted_rate"] == pytest.approx(-0.35)
+        assert fits[1.0]["predicted_rate"] == pytest.approx(-0.85)
+        assert fits[0.0]["slope"] == pytest.approx(-0.375, abs=0.03)
+        assert fits[1.0]["slope"] == pytest.approx(-0.875, abs=0.04)
+        for fit in fits.values():
+            assert fit["slope"] <= fit["predicted_rate"] + 0.05
         assert curves[0.0].kind == "damped"
 
     def test_diffusion_suite_gain(self):
@@ -95,87 +100,111 @@ class TestSuites:
         assert calls == dict.fromkeys(names, 1)
 
 
+def sweep(tmp_path, p: float, gamma: float, eps_start: float, eps_factor: float,
+          count: int, grid: dict = TINY_GRID, **kwargs) -> dict:
+    """The report of a 1-D, s = 1 lifespan sweep run under ``tmp_path``."""
+    _, report = experiment_lifespan(p=p, gamma=gamma, s=1.0, eps_start=eps_start,
+                                    eps_factor=eps_factor, count=count,
+                                    out=str(tmp_path), **grid, **kwargs)
+    return report
+
+
 class TestSweep:
-    def test_fit_harness_self_test(self):
-        eps = np.geomspace(0.1, 1.0, 8)
-        slope, _ = fit_sweep_slope(eps, eps ** -2.0)
-        assert abs(slope + 2.0) < 1e-9
+    def test_fit_harness_self_test(self, tmp_path):
+        report = sweep(tmp_path, 2.0, 0.5, 4.0, 0.5, 4, dt=0.05, tend=100.0)
+        rows = [r for r in report["rows"] if r["status"] in BLOW_UP]
+        assert len(rows) == 4
+        slope, intercept = np.polyfit(np.log([r["eps"] for r in rows]),
+                                      np.log([r["lifespan"] for r in rows]), 1)
+        assert abs(report["fitted_slope"] - slope) < 1e-9
+        assert abs(report["intercept"] - intercept) < 1e-9
 
-    def test_subcritical_sweep(self):
-        params = RegimeParams(n=1, gamma=0.5, s=1.0, p=2.0)
-        schedule = [4.0 * (10 ** (-1 / 7)) ** i for i in range(8)]
-        sweep = run_lifespan_sweep(params, schedule, TINY_GRID, dt=0.02,
-                                   t_end=400.0)
-        assert not sweep.refused
-        assert len(sweep.blow_up_rows()) == 8
-        lifespans = [r.lifespan for r in sweep.rows]
+    def test_subcritical_sweep(self, tmp_path):
+        report = sweep(tmp_path, 2.0, 0.5, 4.0, 10 ** (-1 / 7), 8, dt=0.02,
+                       tend=400.0)
+        assert not report["refused"]
+        assert sum(r["status"] in BLOW_UP for r in report["rows"]) == 8
+        lifespans = [r["lifespan"] for r in report["rows"]]
         assert all(b >= a for a, b in zip(lifespans, lifespans[1:]))
-        assert sweep.predicted_slope == pytest.approx(-2.0)
-        assert sweep.fitted_slope < 0
+        assert report["predicted_slope"] == pytest.approx(-2.0)
+        assert report["fitted_slope"] < 0
 
-    def test_slopes_inside_the_gamma_range(self):
+    def test_slopes_inside_the_gamma_range(self, tmp_path):
         # 0 < gamma < n/2 on the default 1-D grid, one decade of eps from
         # 7e-3: the fits sit 8.9 % (gamma = 0.1) and 3.6 % (gamma = 0.4) from
         # the predicted exponents, and a larger gamma gives a steeper slope
-        schedule = [7e-3 * 10 ** (-i / 3) for i in range(4)]
         slopes = {}
         for gamma in (0.1, 0.4):
-            params = RegimeParams(n=1, gamma=gamma, s=1.0, p=2.0)
-            sweep = run_lifespan_sweep(params, schedule, solver.DEFAULT_GRIDS[1],
-                                       t_end=2e5)
-            assert [r.status for r in sweep.rows] == ["BlowUp"] * 4
+            report = sweep(tmp_path, 2.0, gamma, 7e-3, 10 ** (-1 / 3), 4,
+                           grid=dict(dim=1), tend=2e5)
+            assert [r["status"] for r in report["rows"]] == ["BlowUp"] * 4
             predicted = lifespan_exponent(2.0, 1, gamma)
-            assert abs(sweep.fitted_slope / predicted - 1) <= 0.12, sweep.fitted_slope
-            slopes[gamma] = sweep.fitted_slope
+            fitted = report["fitted_slope"]
+            assert abs(fitted / predicted - 1) <= 0.12, fitted
+            slopes[gamma] = fitted
         assert slopes[0.4] < slopes[0.1]
 
-    def test_supercritical_refuses_fit(self):
-        params = RegimeParams(n=1, gamma=0.3, s=1.0, p=5.0)
-        schedule = [1e-3 * (10 ** (-1 / 3)) ** i for i in range(4)]
-        sweep = run_lifespan_sweep(params, schedule, TINY_GRID, dt=0.05,
-                                   t_end=20.0)
-        assert sweep.refused
-        assert sweep.fitted_slope is None
-        assert sweep.regime == "GlobalExistence"
-        assert all(r.status == "Completed" for r in sweep.rows)
-        assert all(math.isinf(r.lifespan) for r in sweep.rows)
+    def test_supercritical_refuses_fit(self, tmp_path):
+        report = sweep(tmp_path, 5.0, 0.3, 1e-3, 10 ** (-1 / 3), 4, dt=0.05,
+                       tend=20.0)
+        assert report["refused"]
+        assert report["fitted_slope"] is None
+        assert report["regime"] == "GlobalExistence"
+        assert all(r["status"] == "Completed" for r in report["rows"])
+        assert all(math.isinf(r["lifespan"]) for r in report["rows"])
 
-    def test_critical_rejected(self):
-        params = RegimeParams(n=1, gamma=0.5, s=1.0, p=3.0)  # p == p_crit
+    def test_supercritical_mixed(self, tmp_path):
+        # eps = 1 blows up by T = 1.13; the three smaller data complete
+        run_dir, report = experiment_lifespan(
+            dim=1, gamma=0.3, s=1.0, p=5.0, eps_start=1.0, eps_factor=0.1,
+            count=4, N=2048, L=100 * np.pi, dt=0.05, tend=20.0,
+            out=str(tmp_path))
+        assert json.loads((run_dir / "report.json").read_text()) == report
+        assert report["regime"] == "Mixed"
+        assert report["refused"]
+        assert report["predicted_slope"] is None
+        assert report["fitted_slope"] is None
+        assert report["intercept"] is None
+        assert report["relative_deviation"] is None
+        first, *rest = report["rows"]
+        assert first["status"] == "StepUnderflow"
+        assert first["lifespan"] == pytest.approx(1.1254, abs=1e-4)
+        assert all(r["status"] == "Completed" for r in rest)
+        assert all(math.isinf(r["lifespan"]) for r in rest)
+        lines = (run_dir / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "eps,T,status"
+        assert lines[1] == f"1.0,{first['lifespan']!r},StepUnderflow"
+        assert [line.split(",")[1:] for line in lines[2:]] == \
+            [["inf", "Completed"]] * 3
+
+    def test_critical_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            run_lifespan_sweep(params, [0.5, 0.25], TINY_GRID)
+            sweep(tmp_path, 3.0, 0.5, 0.5, 0.5, 2)  # p == p_crit
+        assert not any(tmp_path.iterdir())
 
-    def test_inadmissible_rejected(self):
+    def test_inadmissible_rejected(self, tmp_path):
         # subcritical but below the 1 + 2*gamma/n segment
-        params = RegimeParams(n=1, gamma=0.4, s=1.0, p=1.5)
         with pytest.raises(DomainError):
-            run_lifespan_sweep(params, [0.5, 0.25], TINY_GRID)
+            sweep(tmp_path, 1.5, 0.4, 0.5, 0.5, 2)
+        assert not any(tmp_path.iterdir())
 
-    def test_insufficient_blow_up_rows(self):
-        params = RegimeParams(n=1, gamma=0.5, s=1.0, p=2.0)
-        schedule = [1e-6 * (10 ** (-1 / 3)) ** i for i in range(4)]
+    def test_insufficient_blow_up_rows(self, tmp_path):
         with pytest.raises(InsufficientDataError):
-            run_lifespan_sweep(params, schedule, TINY_GRID, dt=0.05, t_end=5.0)
+            sweep(tmp_path, 2.0, 0.5, 1e-6, 10 ** (-1 / 3), 4, dt=0.05, tend=5.0)
+        assert not any(tmp_path.iterdir())
 
-    def test_schedule_validation(self):
-        params = RegimeParams(n=1, gamma=0.5, s=1.0, p=2.0)
-        with pytest.raises(DomainError):
-            run_lifespan_sweep(params, [1.0], TINY_GRID)
-        with pytest.raises(DomainError):
-            run_lifespan_sweep(params, [1.0, 2.0, 1.5], TINY_GRID)
-        with pytest.raises(DomainError):
-            # monotone but not geometric
-            run_lifespan_sweep(params, [1.0, 0.5, 0.3], TINY_GRID)
+    def test_schedule_validation(self, tmp_path):
+        with pytest.raises(DomainError, match="at least two points"):
+            sweep(tmp_path, 2.0, 0.5, 1.0, 0.5, 1)
+        with pytest.raises(DomainError, match="strictly monotone geometric"):
+            sweep(tmp_path, 2.0, 0.5, 1.0, 1.0, 3)
 
-    def test_worker_pool_matches_serial(self):
-        params = RegimeParams(n=1, gamma=0.5, s=1.0, p=2.0)
-        schedule = [4.0, 2.0, 1.0, 0.5]
-        serial = run_lifespan_sweep(params, schedule, TINY_GRID, dt=0.05,
-                                    t_end=100.0)
-        pooled = run_lifespan_sweep(params, schedule, TINY_GRID, dt=0.05,
-                                    t_end=100.0, workers=2)
-        assert serial.rows == pooled.rows
-        assert serial.fitted_slope == pooled.fitted_slope
+    def test_worker_pool_matches_serial(self, tmp_path):
+        kwargs = dict(dt=0.05, tend=100.0)
+        serial = sweep(tmp_path, 2.0, 0.5, 4.0, 0.5, 4, **kwargs)
+        pooled = sweep(tmp_path, 2.0, 0.5, 4.0, 0.5, 4, workers=2, **kwargs)
+        assert serial["rows"] == pooled["rows"]
+        assert serial["fitted_slope"] == pooled["fitted_slope"]
 
 
 class TestPhaseDiagram:
