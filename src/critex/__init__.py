@@ -17,9 +17,9 @@ from .exponents import (Regime, RegimeParams, RegimeVerdict, alpha0,
 from .fields import (GridSpec, SpectrumField, make_initial_data, transform_forward,
                      transform_inverse)
 from .propagators import forcing_weights, heat_multiplier, kernel_entries
-from .radial import (DecayCurve, RadialProfile, RateFit, diffusion_difference,
-                     evolve_damped, evolve_heat, fit_rate, gaussian_profile,
-                     log_radial_grid, norm_radial, power_law_profile)
+from .radial import (RadialProfile, diffusion_difference, evolve_damped,
+                     evolve_heat, fit_rate, gaussian_profile, log_radial_grid,
+                     norm_radial, power_law_profile)
 from .solver import RunResult, SolverConfig, State, nonlinearity, run, step
 
 __version__ = "0.1.0"

@@ -51,7 +51,9 @@ def exponents(n: float, gamma: float, p: float | None = None,
         params = RegimeParams(n=n, gamma=gamma, s=s, p=p)
         payload["params"].update({"p": p, "s": s})
         try:
-            payload["verdict"] = classify_regime(params).to_json()
+            regime, reasons = classify_regime(params)
+            payload["verdict"] = {"regime": regime.value,
+                                  "reasons": [r._asdict() for r in reasons]}
         except CritexError as error:
             # e.g. the formal boundary gamma = n/2: lifespan arithmetic still
             # applies but the existence/blow-up classification does not

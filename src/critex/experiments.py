@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -119,22 +120,24 @@ def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
 def run_decay_suite(n: float, gamma: float, s: float, profile: str,
                     t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped-wave decay fits at orders 0 and s against the predictions
-    -gamma/2 and -(s+gamma)/2.  Returns ({order: fit}, {order: curve}), each
-    fit being ``fit_rate``'s JSON plus its ``predicted_rate``."""
+    -gamma/2 and -(s+gamma)/2.  Returns {order: ``fit_rate``'s dict plus its
+    ``predicted_rate``} and the curves.csv rows (t, norm, order, gamma, kind)."""
     v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
     predicted = {0.0: -gamma / 2.0, s: -(s + gamma) / 2.0}
     curves = {order: radial.evolve_damped(v0, None, times, order, gamma)
               for order in predicted}
-    fits = {order: {**fit_rate(curve, window).to_json(),
+    fits = {order: {**fit_rate(times, norms, window),
                     "predicted_rate": predicted[order]}
-            for order, curve in curves.items()}
-    return fits, curves
+            for order, norms in curves.items()}
+    rows = [(t, norm, order, gamma, "damped") for order, norms in curves.items()
+            for t, norm in zip(times.tolist(), norms.tolist())]
+    return fits, rows
 
 
 def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
                         t0: float = 1.0, t1: float = 1e5, points: int = 96):
-    """Damped / heat / difference fits plus the parabolic gain
-    slope(difference) - slope(damped), expected near -1."""
+    """Damped / heat / difference fits, their curves.csv rows, and the parabolic
+    gain slope(difference) - slope(damped), expected near -1."""
     v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
     curves = {
         "damped": radial.evolve_damped(v0, None, times, s, gamma),
@@ -144,11 +147,13 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
     base_rate = -(s + gamma) / 2.0
     predicted = {"damped": base_rate, "heat": base_rate,
                  "difference": base_rate - 1.0}
-    fits = {kind: {**fit_rate(curve, window).to_json(),
+    fits = {kind: {**fit_rate(times, norms, window),
                    "predicted_rate": predicted[kind]}
-            for kind, curve in curves.items()}
+            for kind, norms in curves.items()}
     gain = fits["difference"]["slope"] - fits["damped"]["slope"]
-    return fits, curves, gain
+    rows = [(t, norm, s, gamma, kind) for kind, norms in curves.items()
+            for t, norm in zip(times.tolist(), norms.tolist())]
+    return fits, rows, gain
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +301,12 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
 # the lifespan sweep and the phase diagram open theirs after computing, and
 # evolve after building its inputs, so bad input leaves no run directory.
 
-def _write_suite(kind: str, params: dict, fits: dict, curves: dict,
+def _write_suite(kind: str, params: dict, fits: dict, rows: list,
                  **extra) -> tuple[Path, dict]:
-    """A rate suite's run directory: ``curves.csv`` and a report of its fits
-    keyed by ``str(key)``, plus ``extra``."""
+    """A rate suite's run directory: ``curves.csv`` of its rows and a report
+    of its fits keyed by ``str(key)``, plus ``extra``."""
     run_dir = _open_run(kind, params)
-    write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"],
-              (row for curve in curves.values() for row in curve.csv_rows()))
+    write_csv(run_dir / "curves.csv", ["t", "norm", "s", "gamma", "kind"], rows)
     report = {"fits": {str(key): fit for key, fit in fits.items()}, **extra}
     write_json(run_dir / "report.json", report)
     return run_dir, report
@@ -313,8 +317,8 @@ def experiment_linear_decay(n: float, gamma: float, s: float, profile: str,
                             out: str | None = None) -> tuple[Path, dict]:
     """Radial decay-rate suite: fitted rates at orders 0 and s."""
     params = dict(locals())
-    fits, curves = run_decay_suite(n, gamma, s, profile, t0, t1, points)
-    return _write_suite("linear-decay", params, fits, curves)
+    fits, rows = run_decay_suite(n, gamma, s, profile, t0, t1, points)
+    return _write_suite("linear-decay", params, fits, rows)
 
 
 def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
@@ -322,8 +326,8 @@ def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
                          out: str | None = None) -> tuple[Path, dict]:
     """Damped/heat/difference rate suite and the parabolic gain."""
     params = dict(locals())
-    fits, curves, gain = run_diffusion_suite(n, gamma, s, profile, t0, t1, points)
-    return _write_suite("diffusion", params, fits, curves, gain=gain)
+    fits, rows, gain = run_diffusion_suite(n, gamma, s, profile, t0, t1, points)
+    return _write_suite("diffusion", params, fits, rows, gain=gain)
 
 
 def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
@@ -353,7 +357,7 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     wall = time.perf_counter() - started
 
     write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
-              result.history_rows())
+              zip(result.times, result.l2, result.hs, result.hneg, result.maxabs))
     report = {"status": result.status, "blow_up_time": result.blow_up_time,
               "weighted_sup": result.weighted_sup}
     meta = {**report, "wall_time_s": wall}
@@ -419,7 +423,10 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
     """
     N, L = _grid_size(dim, N, L)
     params = dict(locals())
-    schedule = [eps_start * eps_factor ** i for i in range(count)]
+    try:
+        schedule = [eps_start * eps_factor ** i for i in range(count)]
+    except OverflowError:  # float ** raises where float * gives inf
+        raise DomainError("eps schedule must be positive and finite") from None
     if count < 2:
         raise DomainError("eps schedule needs at least two points")
     if not all(0 < eps < float("inf") for eps in schedule):
@@ -493,12 +500,9 @@ def experiment_phase_diagram(n: float, s: float, gamma_min: float,
     run_dir = _open_run("phase-diagram", params)
     write_csv(run_dir / "regions.csv",
               ["gamma", "p", "regime", "p_crit", "p_lower", "p_cap", "gamma_tilde"],
-              ((r["gamma"], r["p"], r["regime"], r["p_crit"], r["p_lower"],
-                r["p_cap"], r["gamma_tilde"]) for r in rows))
-    counts: dict[str, int] = {}
-    for r in rows:
-        counts[r["regime"]] = counts.get(r["regime"], 0) + 1
-    report = {"cells": len(rows), "regime_counts": counts}
+              (r.values() for r in rows))
+    report = {"cells": len(rows),
+              "regime_counts": Counter(r["regime"] for r in rows)}
     write_json(run_dir / "report.json", report)
     return run_dir, report
 

@@ -16,7 +16,7 @@ within 1e-14 before any division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -42,18 +42,13 @@ class Regime(str, Enum):
     OUTSIDE_THEORY = "OutsideTheory"
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     """One evaluated admissibility condition: name, outcome, both sides."""
 
     name: str
     passed: bool
     lhs: float
     rhs: float
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass(frozen=True)
@@ -81,14 +76,9 @@ class RegimeParams:
             raise DomainError(f"exponent p must exceed 1, got {self.p}")
 
 
-@dataclass(frozen=True)
-class RegimeVerdict:
+class RegimeVerdict(NamedTuple):
     regime: Regime
-    reasons: tuple[Reason, ...] = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {"regime": self.regime.value,
-                "reasons": [r.to_json() for r in self.reasons]}
+    reasons: tuple[Reason, ...]
 
 
 class AdmissibilityReport(NamedTuple):
@@ -183,26 +173,25 @@ def classify_regime(params: RegimeParams) -> RegimeVerdict:
     p_lower = 1.0 + 2.0 * gamma / n
     p_cap = n / (n - 2.0 * s) if n > 2.0 * s else math.inf
 
-    reasons = [
+    reasons = (
         Reason("p > p_crit", p > pc, p, pc),
         Reason("p = p_crit", p == pc, p, pc),
         Reason("gamma <= gamma_tilde", gamma <= gt, gamma, gt),
         Reason("p >= 1 + 2*gamma/n", p >= p_lower, p, p_lower),
         Reason("p <= n/(n - 2s)", p <= p_cap, p, p_cap),
-    ]
-    frozen = tuple(reasons)
+    )
 
     if p < pc:
-        return RegimeVerdict(Regime.BLOW_UP, frozen)
+        return RegimeVerdict(Regime.BLOW_UP, reasons)
     if p == pc:
-        return RegimeVerdict(Regime.CRITICAL_OPEN, frozen)
+        return RegimeVerdict(Regime.CRITICAL_OPEN, reasons)
     if p > p_cap:
-        return RegimeVerdict(Regime.OUTSIDE_THEORY, frozen)
+        return RegimeVerdict(Regime.OUTSIDE_THEORY, reasons)
     if gamma <= gt or p >= p_lower:
-        return RegimeVerdict(Regime.GLOBAL_EXISTENCE, frozen)
+        return RegimeVerdict(Regime.GLOBAL_EXISTENCE, reasons)
     # gamma > gamma_tilde leaves a gap p_crit < p < 1 + 2*gamma/n that no
     # covered result reaches.
-    return RegimeVerdict(Regime.OUTSIDE_THEORY, frozen)
+    return RegimeVerdict(Regime.OUTSIDE_THEORY, reasons)
 
 
 def sharp_lifespan_admissible(params: RegimeParams) -> AdmissibilityReport:

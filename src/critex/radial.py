@@ -84,48 +84,6 @@ def gaussian_profile(dim: float, width: float = 1.0,
     return RadialProfile(dim, r, np.exp(-(width * r) ** 2))
 
 
-@dataclass(frozen=True)
-class DecayCurve:
-    """Norm history of an evolved profile at fixed order s and data index gamma."""
-
-    times: np.ndarray
-    norms: np.ndarray
-    s: float
-    gamma: float
-    kind: str = "damped"
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        norms = np.asarray(self.norms, dtype=float)
-        if times.shape != norms.shape:
-            raise ContractError("times and norms must have matching shapes")
-        if np.any(times < 0) or np.any(np.diff(times) <= 0):
-            raise ContractError("times must be nonnegative and strictly increasing")
-        if np.any(norms < 0):
-            raise ContractError("norms must be nonnegative")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "norms", norms)
-
-    def csv_rows(self):
-        for t, norm in zip(self.times.tolist(), self.norms.tolist()):
-            yield t, norm, self.s, self.gamma, self.kind
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares slope of log(norm) against log(1 + t) over a window."""
-
-    slope: float
-    intercept: float
-    t_lo: float
-    t_hi: float
-    residual: float
-
-    def to_json(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "t_lo": self.t_lo, "t_hi": self.t_hi, "residual": self.residual}
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -181,10 +139,13 @@ def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
 
 
 def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
-           times: np.ndarray, s: float, gamma: float) -> DecayCurve:
-    """Order-s norm history of the linear flow ``kind`` of the pair (v0, v1);
-    ``v1=None`` is zero velocity data."""
+           times: np.ndarray, s: float, gamma: float) -> np.ndarray:
+    """Order-s norms at ``times`` of the linear flow ``kind`` of the pair
+    (v0, v1); ``v1=None`` is zero velocity data."""
     global _memo_grid
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not (np.diff(times) > 0).all():
+        raise ContractError("times must be a 1-d strictly increasing array")
     if v1 is not None and (v0.dim != v1.dim or v0.r.shape != v1.r.shape
                            or not np.array_equal(v0.r, v1.r)):
         raise ContractError("profiles must share dimension and radial grid")
@@ -195,7 +156,6 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
     if not np.array_equal(_memo_grid, v0.r):
         _memo.clear()
         _memo_grid = v0.r.copy()
-    times = np.asarray(times, dtype=float)
     norms = np.empty_like(times)
     weight, steps, sigma = (v0.r ** (2.0 * s + v0.dim), np.diff(np.log(v0.r)),
                             sphere_surface(v0.dim))
@@ -212,23 +172,23 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
         # a non-finite flow gives a non-finite sum (its peak passes the tail check)
         if not math.isfinite(norms[i]) and not np.isfinite(flow).all():
             raise ContractError("profile values must be finite")
-    return DecayCurve(times, norms, s, gamma, kind=kind)
+    return norms
 
 
 def evolve_damped(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
-                  s: float, gamma: float) -> DecayCurve:
+                  s: float, gamma: float) -> np.ndarray:
     """Damped-wave norm history: v_hat(t) = k00(t, r) v0 + k01(t, r) v1."""
     return _curve("damped", v0, v1, times, s, gamma)
 
 
 def evolve_heat(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
-                s: float, gamma: float) -> DecayCurve:
+                s: float, gamma: float) -> np.ndarray:
     """Heat-flow norm history with merged data: w_hat(t) = e^{-r^2 t}(v0 + v1)."""
     return _curve("heat", v0, v1, times, s, gamma)
 
 
 def diffusion_difference(v0: RadialProfile, v1: RadialProfile | None,
-                         times: np.ndarray, s: float, gamma: float) -> DecayCurve:
+                         times: np.ndarray, s: float, gamma: float) -> np.ndarray:
     """Norm history of the damped-wave/heat difference (the parabolic gain)."""
     return _curve("difference", v0, v1, times, s, gamma)
 
@@ -237,22 +197,28 @@ def diffusion_difference(v0: RadialProfile, v1: RadialProfile | None,
 # rate fitting
 # ---------------------------------------------------------------------------
 
-def fit_rate(curve: DecayCurve, window: tuple[float, float] = DEFAULT_FIT_WINDOW
-             ) -> RateFit:
-    """Fit log(norm) ~ slope * log(1 + t) + intercept over the window."""
+def fit_rate(times: np.ndarray, norms: np.ndarray,
+             window: tuple[float, float] = DEFAULT_FIT_WINDOW) -> dict:
+    """Fit log(norm) ~ slope * log(1 + t) + intercept over the window; returns
+    {slope, intercept, t_lo, t_hi, residual}, the residual the RMS misfit."""
+    times = np.asarray(times, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    if times.shape != norms.shape:
+        raise ContractError("times and norms must have matching shapes")
     t_lo, t_hi = window
     if t_lo >= t_hi:
         raise DomainError(f"fit window must satisfy t_lo < t_hi, got {window}")
-    mask = (curve.times >= t_lo) & (curve.times <= t_hi)
+    mask = (times >= t_lo) & (times <= t_hi)
     count = int(np.count_nonzero(mask))
     if count < 8:
         raise InsufficientDataError(
             f"fit window [{t_lo}, {t_hi}] contains {count} samples; need >= 8")
-    norms = curve.norms[mask]
+    norms = norms[mask]
     if np.any(norms <= 0):
         raise DomainError("rate fit requires strictly positive norms in the window")
-    x = np.log1p(curve.times[mask])
+    x = np.log1p(times[mask])
     y = np.log(norms)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(float(slope), float(intercept), float(t_lo), float(t_hi), residual)
+    return {"slope": float(slope), "intercept": float(intercept),
+            "t_lo": float(t_lo), "t_hi": float(t_hi), "residual": residual}

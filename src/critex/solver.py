@@ -136,10 +136,6 @@ class RunResult:
             return LIFESPAN_INFINITE
         return float(self.blow_up_time)
 
-    def history_rows(self):
-        for row in zip(self.times, self.l2, self.hs, self.hneg, self.maxabs):
-            yield row
-
 
 def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
     """Pointwise forcing |u|^p; propagates NaN so callers can flag divergence."""

@@ -20,7 +20,7 @@ from critex import (GridSpec, SolverConfig, State, alpha0, gamma_tilde,
 from critex.experiments import (emit_phase_diagram, exponent_gate,
                                 experiment_evolve, experiment_testfn)
 from critex.fields import _inverse_samples
-from critex.radial import (DecayCurve, evolve_damped, evolve_heat, fit_rate,
+from critex.radial import (evolve_damped, evolve_heat, fit_rate,
                            power_law_profile, sphere_surface)
 from critex.solver import STATUS_BLOW_UP, STATUS_COMPLETED, linear_reference
 
@@ -128,12 +128,11 @@ def test_criterion_3_linear_decay_sharpness():
         times = np.geomspace(10.0, 1e5, 72)
         window = (1e2, 1e4)
 
-        curve0 = evolve_damped(v0, v1, times, 0.0, gamma)
-        fit0 = fit_rate(curve0, window)
-        assert abs(fit0.slope - (-(gamma + 0.05) / 2)) < 0.03
+        fit0 = fit_rate(times, evolve_damped(v0, v1, times, 0.0, gamma), window)
+        assert abs(fit0["slope"] - (-(gamma + 0.05) / 2)) < 0.03
 
         heat = evolve_heat(v0, v1, times, 0.0, gamma)
-        for t, norm in zip(heat.times, heat.norms):
+        for t, norm in zip(times, heat):
             # oracle over the represented radial range [r_min, 1]
             integrand = lambda r: np.exp(-2 * r * r * t) * r ** (n - 1 - 2 * a)
             value, _ = quad(integrand, 1e-6, 1.0, epsabs=0.0, epsrel=1e-10,
@@ -141,9 +140,8 @@ def test_criterion_3_linear_decay_sharpness():
             oracle = math.sqrt(sphere_surface(n) * value)
             assert abs(norm - oracle) < 1e-6 * oracle
 
-        curve1 = evolve_damped(v0, v1, times, 1.0, gamma)
-        fit1 = fit_rate(curve1, window)
-        assert abs(fit1.slope - (-(1 + gamma + 0.05) / 2)) < 0.04
+        fit1 = fit_rate(times, evolve_damped(v0, v1, times, 1.0, gamma), window)
+        assert abs(fit1["slope"] - (-(1 + gamma + 0.05) / 2)) < 0.04
 
 
 def test_criterion_4_diffusion_phenomenon():
@@ -157,10 +155,11 @@ def test_criterion_4_diffusion_phenomenon():
                 a = n / 2 - gamma - 0.05
                 v0 = power_law_profile(n, a)
                 v1 = v0.with_values(np.zeros_like(v0.values))
-                damped = fit_rate(evolve_damped(v0, v1, times, s, gamma), window)
-                diff = fit_rate(diffusion_difference(v0, v1, times, s, gamma),
+                damped = fit_rate(times, evolve_damped(v0, v1, times, s, gamma),
+                                  window)
+                diff = fit_rate(times, diffusion_difference(v0, v1, times, s, gamma),
                                 window)
-                gain = diff.slope - damped.slope
+                gain = diff["slope"] - damped["slope"]
                 assert -1.3 <= gain <= -0.85, (s, gamma, gain)
 
 
@@ -263,11 +262,9 @@ def test_criterion_7_regime_consistency():
         window = (10.0, 1000.0)
         mask = result.times > 0
         for nonlinear, linear in ((result.l2, lin_l2), (result.hs, lin_hs)):
-            fit_nl = fit_rate(DecayCurve(result.times[mask], nonlinear[mask],
-                                         1.0, gamma), window)
-            fit_lin = fit_rate(DecayCurve(result.times[mask], linear[mask],
-                                          1.0, gamma), window)
-            assert abs(fit_nl.slope - fit_lin.slope) <= 0.05
+            fit_nl = fit_rate(result.times[mask], nonlinear[mask], window)
+            fit_lin = fit_rate(result.times[mask], linear[mask], window)
+            assert abs(fit_nl["slope"] - fit_lin["slope"]) <= 0.05
 
         # subcritical moderate data blows up
         config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=500.0)

@@ -391,9 +391,14 @@ class TestRunInputFailsFast:
                          "--N", "256", "--L", "50")
         assert "eps schedule must be strictly monotone geometric" in err
 
-    @pytest.mark.parametrize("flag", ["--eps-start", "--eps-factor"])
-    def test_lifespan_zero_eps(self, capsys, tmp_path, flag):
-        eps = {"--eps-start": "1", "--eps-factor": "0.5", flag: "0"}
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--eps-start", "0", id="--eps-start"),
+        pytest.param("--eps-factor", "0", id="--eps-factor"),
+        # 1e300 ** 2 overflows, and float ** raises rather than give inf
+        pytest.param("--eps-factor", "1e300", id="--eps-factor-overflow"),
+    ])
+    def test_lifespan_zero_eps(self, capsys, tmp_path, flag, value):
+        eps = {"--eps-start": "1", "--eps-factor": "0.5", flag: value}
         err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
                          "--gamma", "0.5", "--s", "1", "--p", "2",
                          *(arg for pair in eps.items() for arg in pair),

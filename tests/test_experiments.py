@@ -57,8 +57,8 @@ class TestProfiles:
 
 class TestSuites:
     def test_decay_suite_predictions(self):
-        fits, curves = run_decay_suite(2, 0.7, 1.0, "powerlaw:a=0.25",
-                                       t0=10.0, t1=1e4, points=48)
+        fits, rows = run_decay_suite(2, 0.7, 1.0, "powerlaw:a=0.25",
+                                     t0=10.0, t1=1e4, points=48)
         assert set(fits) == {0.0, 1.0}
         # predictions are the theory bounds; the a = n/2 - gamma - 0.05 family
         # decays slightly faster, and never slower (one-sided)
@@ -68,11 +68,12 @@ class TestSuites:
         assert fits[1.0]["slope"] == pytest.approx(-0.875, abs=0.04)
         for fit in fits.values():
             assert fit["slope"] <= fit["predicted_rate"] + 0.05
-        assert curves[0.0].kind == "damped"
+        # curves.csv rows (t, norm, order, gamma, kind)
+        assert {(row[2], row[4]) for row in rows} == {(0.0, "damped"), (1.0, "damped")}
 
     def test_diffusion_suite_gain(self):
-        fits, curves, gain = run_diffusion_suite(2, 0.7, 0.0, "powerlaw:a=0.25",
-                                                 t0=10.0, t1=1e4, points=48)
+        fits, _, gain = run_diffusion_suite(2, 0.7, 0.0, "powerlaw:a=0.25",
+                                            t0=10.0, t1=1e4, points=48)
         assert set(fits) == {"damped", "heat", "difference"}
         assert -1.3 <= gain <= -0.85
 

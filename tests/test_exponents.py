@@ -139,9 +139,9 @@ class TestClassifier:
     def test_every_verdict_has_reasons(self):
         verdict = classify_regime(RegimeParams(2, 0.5, 1, 3))
         assert len(verdict.reasons) >= 1
-        payload = verdict.to_json()
-        assert payload["regime"] == "GlobalExistence"
-        assert all({"name", "passed", "lhs", "rhs"} <= set(r) for r in payload["reasons"])
+        assert verdict.regime.value == "GlobalExistence"
+        assert all({"name", "passed", "lhs", "rhs"} <= set(r._asdict())
+                   for r in verdict.reasons)
 
     def test_cap_gives_outside_theory(self):
         # n = 4, s = 1: cap p <= n/(n-2s) = 2

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from critex import (AccuracyError, ContractError, DomainError, DecayCurve,
-                    RadialProfile, diffusion_difference, evolve_damped,
+from critex import (AccuracyError, ContractError, DomainError, RadialProfile, diffusion_difference, evolve_damped,
                     evolve_heat, fit_rate, gaussian_profile, heat_multiplier,
                     kernel_entries, log_radial_grid, norm_radial,
                     power_law_profile)
@@ -105,9 +104,9 @@ class TestHeatEvolution:
     def test_initial_norm_is_merged_data(self):
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(0.5 * v0.values)
-        curve = evolve_heat(v0, v1, np.array([1e-12, 1.0]), 0.0, 0.7)
+        norms = evolve_heat(v0, v1, np.array([1e-12, 1.0]), 0.0, 0.7)
         merged = v0.with_values(v0.values + v1.values)
-        assert curve.norms[0] == pytest.approx(norm_radial(merged, 0.0), rel=1e-9)
+        assert norms[0] == pytest.approx(norm_radial(merged, 0.0), rel=1e-9)
 
     def test_matches_quadrature_oracle(self):
         # power-law data: a = n/2 - gamma - 0.05, n = 2, gamma = 0.7
@@ -116,8 +115,8 @@ class TestHeatEvolution:
         v0 = power_law_profile(n, a)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 25)
-        curve = evolve_heat(v0, v1, times, 0.0, gamma)
-        for t, norm in zip(curve.times, curve.norms):
+        norms = evolve_heat(v0, v1, times, 0.0, gamma)
+        for t, norm in zip(times, norms):
             assert norm == pytest.approx(heat_norm_oracle(t, n, a), rel=1e-6)
 
     def test_gaussian_closed_form(self):
@@ -125,9 +124,9 @@ class TestHeatEvolution:
         v0 = gaussian_profile(2, 1.0)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(1.0, 1e4, 20)
-        curve = evolve_heat(v0, v1, times, 0.0, 0.7)
+        norms = evolve_heat(v0, v1, times, 0.0, 0.7)
         expected = np.sqrt(np.pi / 2) / np.sqrt(1.0 + times)
-        np.testing.assert_allclose(curve.norms, expected, rtol=1e-6)
+        np.testing.assert_allclose(norms, expected, rtol=1e-6)
 
     def test_rejects_nonfinite_flow(self):
         # finite data whose heat flow v0 + v1 overflows at t = 0
@@ -142,17 +141,16 @@ class TestDampedEvolution:
     def test_identity_at_zero(self):
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(np.zeros_like(v0.values))
-        curve = evolve_damped(v0, v1, np.array([0.0, 1.0]), 0.0, 0.7)
-        assert curve.norms[0] == pytest.approx(norm_radial(v0, 0.0), rel=1e-12)
+        norms = evolve_damped(v0, v1, np.array([0.0, 1.0]), 0.0, 0.7)
+        assert norms[0] == pytest.approx(norm_radial(v0, 0.0), rel=1e-12)
 
     def test_velocity_data_slope(self):
         # v0 = 0, v1 = indicator: late-time L2 slope -1/2 in n = 2
         v1 = power_law_profile(2, 0.0)
         v0 = v1.with_values(np.zeros_like(v1.values))
         times = np.geomspace(1.0, 1e4, 60)
-        curve = evolve_damped(v0, v1, times, 0.0, 0.9)
-        fit = fit_rate(curve, (1e2, 1e4))
-        assert fit.slope == pytest.approx(-0.5, abs=0.02)
+        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, 0.9), (1e2, 1e4))
+        assert fit["slope"] == pytest.approx(-0.5, abs=0.02)
 
     def test_powerlaw_family_slope(self):
         n, gamma = 2, 0.7
@@ -160,9 +158,8 @@ class TestDampedEvolution:
         v0 = power_law_profile(n, a)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 60)
-        curve = evolve_damped(v0, v1, times, 0.0, gamma)
-        fit = fit_rate(curve, (1e2, 1e4))
-        assert fit.slope == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
+        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, gamma), (1e2, 1e4))
+        assert fit["slope"] == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
 
     def test_sharpness_ladder_monotone(self):
         # as a increases toward n/2 - gamma the fitted slope rises toward -gamma/2
@@ -172,8 +169,9 @@ class TestDampedEvolution:
         for margin in (0.25, 0.2, 0.15, 0.1, 0.05):
             v0 = power_law_profile(n, n / 2 - gamma - margin)
             v1 = v0.with_values(np.zeros_like(v0.values))
-            fit = fit_rate(evolve_damped(v0, v1, times, 0.0, gamma), (1e2, 1e4))
-            slopes.append(fit.slope)
+            fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, gamma),
+                           (1e2, 1e4))
+            slopes.append(fit["slope"])
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
         assert slopes[-1] == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
 
@@ -198,8 +196,8 @@ class TestDiffusionDifference:
         # v1 = 0 and t = 0: damped equals heat exactly
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(np.zeros_like(v0.values))
-        curve = diffusion_difference(v0, v1, np.array([0.0, 1.0]), 0.0, 0.7)
-        assert curve.norms[0] == 0.0
+        norms = diffusion_difference(v0, v1, np.array([0.0, 1.0]), 0.0, 0.7)
+        assert norms[0] == 0.0
 
     def test_antisymmetric_data_reduces_to_damped(self):
         # v1 = -v0 makes the heat data vanish: difference curve == damped curve
@@ -208,7 +206,7 @@ class TestDiffusionDifference:
         times = np.geomspace(1.0, 100.0, 12)
         diff = diffusion_difference(v0, v1, times, 0.0, 0.7)
         damped = evolve_damped(v0, v1, times, 0.0, 0.7)
-        np.testing.assert_allclose(diff.norms, damped.norms, rtol=1e-12)
+        np.testing.assert_allclose(diff, damped, rtol=1e-12)
 
     def test_gain_window(self):
         n = 2
@@ -218,10 +216,11 @@ class TestDiffusionDifference:
                 a = n / 2 - gamma - 0.05
                 v0 = power_law_profile(n, a)
                 v1 = v0.with_values(np.zeros_like(v0.values))
-                damped = fit_rate(evolve_damped(v0, v1, times, s, gamma), (1e2, 1e4))
-                diff = fit_rate(diffusion_difference(v0, v1, times, s, gamma),
+                damped = fit_rate(times, evolve_damped(v0, v1, times, s, gamma),
+                                  (1e2, 1e4))
+                diff = fit_rate(times, diffusion_difference(v0, v1, times, s, gamma),
                                 (1e2, 1e4))
-                gain = diff.slope - damped.slope
+                gain = diff["slope"] - damped["slope"]
                 assert -1.3 <= gain <= -0.85, (s, gamma, gain)
 
     def test_ratio_decreases(self):
@@ -230,7 +229,7 @@ class TestDiffusionDifference:
         times = np.geomspace(10.0, 1e4, 24)
         damped = evolve_damped(v0, v1, times, 0.0, 0.7)
         diff = diffusion_difference(v0, v1, times, 0.0, 0.7)
-        ratio = diff.norms / damped.norms
+        ratio = diff / damped
         assert all(b < a for a, b in zip(ratio, ratio[1:]))
 
 
@@ -252,45 +251,44 @@ class TestCompositionPinned:
         v0 = power_law_profile(2, 0.25)
         v1 = gaussian_profile(2, 3.0)
         times = np.array([0.0, 0.5, 3.0, 40.0, 900.0])
-        curve = evolve(v0, v1, times, 1.0, 0.7)
+        norms = evolve(v0, v1, times, 1.0, 0.7)
         expected = [norm_radial(v0.with_values(self.oracle(kind, float(t), v0, v1)), 1.0)
                     for t in times]
-        assert curve.kind == kind
-        np.testing.assert_array_equal(curve.times, times)
-        np.testing.assert_array_equal(curve.norms, expected)
+        assert norms.dtype == np.float64
+        assert norms.shape == times.shape
+        np.testing.assert_array_equal(norms, expected)
 
 
 class TestFitRate:
     def test_exact_power_law(self):
         times = np.geomspace(1.0, 1e5, 64)
-        curve = DecayCurve(times, (1 + times) ** -0.85, 0.0, 0.5)
-        fit = fit_rate(curve, (1e2, 1e4))
-        assert fit.slope == pytest.approx(-0.85, abs=1e-6)
-        assert fit.residual < 1e-12
+        fit = fit_rate(times, (1 + times) ** -0.85, (1e2, 1e4))
+        assert fit["slope"] == pytest.approx(-0.85, abs=1e-6)
+        assert fit["residual"] < 1e-12
 
     def test_noisy_power_law(self):
         rng = np.random.default_rng(31)
         times = np.geomspace(1.0, 1e5, 64)
         noise = np.exp(rng.normal(0.0, 0.01, times.shape))
-        curve = DecayCurve(times, (1 + times) ** -0.85 * noise, 0.0, 0.5)
-        fit = fit_rate(curve, (1e2, 1e4))
-        assert fit.slope == pytest.approx(-0.85, abs=0.02)
+        fit = fit_rate(times, (1 + times) ** -0.85 * noise, (1e2, 1e4))
+        assert fit["slope"] == pytest.approx(-0.85, abs=0.02)
 
     def test_constant_curve(self):
         times = np.geomspace(1.0, 1e5, 32)
-        fit = fit_rate(DecayCurve(times, np.ones_like(times), 0.0, 0.5), (1e2, 1e4))
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        fit = fit_rate(times, np.ones_like(times), (1e2, 1e4))
+        assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
 
     def test_errors(self):
         times = np.geomspace(1.0, 1e5, 32)
-        curve = DecayCurve(times, np.ones_like(times), 0.0, 0.5)
+        norms = np.ones_like(times)
         with pytest.raises(InsufficientDataError):
-            fit_rate(curve, (1e6, 1e7))
+            fit_rate(times, norms, (1e6, 1e7))
         with pytest.raises(DomainError):
-            fit_rate(curve, (1e4, 1e2))
-        bad = DecayCurve(times, np.zeros_like(times), 0.0, 0.5)
+            fit_rate(times, norms, (1e4, 1e2))
         with pytest.raises((DomainError, InsufficientDataError)):
-            fit_rate(bad, (1e2, 1e4))
+            fit_rate(times, np.zeros_like(times), (1e2, 1e4))
+        with pytest.raises(ContractError, match="matching shapes"):
+            fit_rate(times, norms[:-1], (1e2, 1e4))
 
 
 class TestDimensionKnob:
@@ -314,22 +312,21 @@ class TestDimensionKnob:
             for t in times:
                 evolved = kernel_entries(float(t), kmag)[0] * coeffs
                 norms.append(float(np.sqrt(np.sum(np.abs(evolved) ** 2))))
-            grid_fit = fit_rate(DecayCurve(times, np.array(norms), 0.0, 0.0,
-                                           kind="damped"), window)
+            grid_fit = fit_rate(times, np.array(norms), window)
 
             v0 = power_law_profile(float(dim), 0.25)
             v1 = v0.with_values(np.zeros_like(v0.values))
-            lab_fit = fit_rate(evolve_damped(v0, v1, times, 0.0,
-                                             0.2 if dim == 1 else 0.7), window)
-            assert abs(grid_fit.slope - lab_fit.slope) < 0.05, dim
+            lab_fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0,
+                                                    0.2 if dim == 1 else 0.7), window)
+            assert abs(grid_fit["slope"] - lab_fit["slope"]) < 0.05, dim
 
     def test_non_integer_dimension(self):
         v0 = power_law_profile(2.5, 0.3)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 40)
-        fit = fit_rate(evolve_damped(v0, v1, times, 0.0, 0.5), (1e2, 1e4))
+        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, 0.5), (1e2, 1e4))
         # slope -(n - 2a)/4 = -(2.5 - 0.6)/4
-        assert fit.slope == pytest.approx(-1.9 / 4, abs=0.03)
+        assert fit["slope"] == pytest.approx(-1.9 / 4, abs=0.03)
 
 
 class TestKernelMemo:
@@ -360,39 +357,41 @@ class TestKernelMemo:
         return self.count(monkeypatch, kernel_entries)
 
     @staticmethod
-    def reference(curve, v0, v1=None):
-        # the flow of (v0, v1) formed from fresh multipliers, zero velocity
-        # data spelled out
+    def reference(times, kind, s, v0, v1=None):
+        # the order-s norms of the flow ``kind`` of (v0, v1) formed from
+        # fresh multipliers, zero velocity data spelled out
         a = v0.values
         b = np.zeros_like(a) if v1 is None else v1.values
         norms = []
-        for t in curve.times.tolist():
+        for t in times:
             k00, k01, _, _ = kernel_entries(t, v0.r)
             damped = k00 * a + k01 * b
             heat = heat_multiplier(t, v0.r) * (a + b)
             flow = {"damped": damped, "heat": heat,
-                    "difference": damped - heat}[curve.kind]
-            norms.append(norm_radial(v0.with_values(flow), curve.s))
+                    "difference": damped - heat}[kind]
+            norms.append(norm_radial(v0.with_values(flow), s))
         return np.array(norms)
 
     def test_curves_bitwise_equal_cold_warm_and_reference(self):
         v0 = power_law_profile(3.0, 0.85)
         for suite in (run_decay_suite, run_diffusion_suite):
             radial._memo.clear()
+            # curves.csv rows (t, norm, order, gamma, kind)
             cold = suite(*self.SUITE)[1]
             warm = suite(*self.SUITE)[1]
-            assert cold.keys() == warm.keys()
-            for key, curve in cold.items():
-                np.testing.assert_array_equal(curve.norms, warm[key].norms)
-                np.testing.assert_array_equal(curve.norms, self.reference(curve, v0))
+            assert cold == warm
+            np.testing.assert_array_equal(
+                [norm for _, norm, _, _, _ in cold],
+                [self.reference([t], kind, order, v0)[0]
+                 for t, _, order, _, kind in cold])
 
     def test_none_velocity_matches_zero_velocity(self):
         v0 = power_law_profile(3.0, 0.85)
         zeros = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(1.0, 1e3, 16)
         for evolve in (evolve_damped, evolve_heat, diffusion_difference):
-            np.testing.assert_array_equal(evolve(v0, None, times, 1.0, 0.6).norms,
-                                          evolve(v0, zeros, times, 1.0, 0.6).norms)
+            np.testing.assert_array_equal(evolve(v0, None, times, 1.0, 0.6),
+                                          evolve(v0, zeros, times, 1.0, 0.6))
 
     def test_warm_velocity_curve_forms_no_kernel(self, monkeypatch, kernel_calls):
         heat_calls = self.count(monkeypatch, heat_multiplier)
@@ -405,9 +404,10 @@ class TestKernelMemo:
         assert len(heat_calls) == times.size
         kernel_calls.clear()
         heat_calls.clear()
-        for evolve in (evolve_damped, evolve_heat, diffusion_difference):
+        for kind, evolve in (("damped", evolve_damped), ("heat", evolve_heat),
+                             ("difference", diffusion_difference)):
             warm = evolve(v0, v1, times, 1.0, 0.6)
-            np.testing.assert_array_equal(warm.norms, self.reference(warm, v0, v1))
+            np.testing.assert_array_equal(warm, self.reference(times, kind, 1.0, v0, v1))
         assert kernel_calls == heat_calls == []
 
     def test_suites_form_each_kernel_once(self, monkeypatch, kernel_calls):
@@ -426,9 +426,25 @@ class TestKernelMemo:
         v0 = power_law_profile(3.0, 0.85)
         w0 = power_law_profile(3.0, 0.85, r=moved)
         evolve_damped(v0, None, times, 1.0, 0.6)
-        curve = evolve_damped(w0, None, times, 1.0, 0.6)
+        norms = evolve_damped(w0, None, times, 1.0, 0.6)
         assert len(kernel_calls) == 2 * times.size
-        np.testing.assert_array_equal(curve.norms, self.reference(curve, w0))
+        np.testing.assert_array_equal(norms, self.reference(times, "damped", 1.0, w0))
+
+    @pytest.mark.parametrize("times, error", [([10.0, 1.0], ContractError),
+                                              ([[1.0, 10.0]], ContractError),
+                                              ([-1.0, 1.0], DomainError)],
+                             ids=["decreasing", "2-d", "negative"])
+    def test_bad_times_leave_the_memo_as_it_was(self, times, error):
+        # decreasing or 2-d times fail before any multiplier is formed; a
+        # negative time fails in the kernel at the first sample
+        v0 = power_law_profile(3.0, 0.85)
+        evolve_damped(v0, None, [1.0, 2.0], 0.0, 0.6)
+        before = list(radial._memo.items())
+        with pytest.raises(error):
+            evolve_damped(v0, None, times, 0.0, 0.6)
+        after = list(radial._memo.items())
+        assert [key for key, _ in after] == [key for key, _ in before]
+        assert all(a is b for (_, a), (_, b) in zip(after, before))
 
     def test_memo_stays_within_budget(self):
         v0 = gaussian_profile(3.0, r=log_radial_grid(2 * DEFAULT_POINTS))

@@ -264,7 +264,8 @@ class TestRun:
         assert result.times[-1] == 5.0
         assert len(result.times) >= 64
         assert math.isfinite(result.weighted_sup)
-        rows = list(result.history_rows())
+        rows = list(zip(result.times, result.l2, result.hs, result.hneg,
+                        result.maxabs))
         assert len(rows[0]) == 5
 
     def test_history_at_most_one_row_per_step(self):
