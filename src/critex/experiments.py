@@ -23,11 +23,12 @@ from collections import Counter
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
 from . import radial, solver
-from .errors import ContractError, DomainError, InsufficientDataError
+from .errors import ContractError, CritexError, DomainError, InsufficientDataError
 from .exponents import (Regime, RegimeParams, classify_regime, conjugate_exponent,
                         lifespan_exponent, p_crit, sharp_lifespan_admissible)
 from .fields import GridSpec, _radius_squared, make_initial_data
@@ -103,10 +104,16 @@ def build_profile(spec: str, n: float) -> radial.RadialProfile:
 # decay and diffusion suites
 # ---------------------------------------------------------------------------
 
-def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
-                  points: int):
-    """Data v0 (the velocity data are zero), sample times, and
-    DEFAULT_FIT_WINDOW clipped to [t0, t1]."""
+# the radial function that forms each curve kind, looked up at call time
+_CURVES = {"damped": "evolve_damped", "heat": "evolve_heat",
+           "difference": "diffusion_difference"}
+
+
+def _rate_suite(n: float, gamma: float, profile: str, t0: float, t1: float,
+                points: int, curves: dict) -> tuple[dict, list]:
+    """Fits {key: ``fit_rate``'s dict plus predicted_rate} and curves.csv rows of
+    ``curves`` = {key: (kind, order, predicted_rate)} of v0 (zero velocity data),
+    checked in H^order and H^-gamma once per distinct order before any curve."""
     if gamma <= 0 or gamma >= n / 2.0:
         raise DomainError(f"rate suites require gamma in (0, n/2), got {gamma}")
     if points < 1 or t0 <= 0:
@@ -114,7 +121,16 @@ def _suite_inputs(n: float, gamma: float, profile: str, t0: float, t1: float,
                           f"got points = {points}, t0 = {t0}")
     v0 = build_profile(profile, n)
     window = max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
-    return v0, np.geomspace(t0, t1, points), window
+    times = np.geomspace(t0, t1, points)
+    for order in dict.fromkeys(x for c in curves.values() for x in (c[1], -gamma)):
+        radial.norm_radial(v0, order)
+    norms = {key: getattr(radial, _CURVES[kind])(v0, None, times, order)
+             for key, (kind, order, _) in curves.items()}
+    fits = {key: {**fit_rate(times, norms[key], window), "predicted_rate": rate}
+            for key, (_, _, rate) in curves.items()}
+    rows = [(t, norm, order, gamma, kind) for key, (kind, order, _) in curves.items()
+            for t, norm in zip(times.tolist(), norms[key].tolist())]
+    return fits, rows
 
 
 def run_decay_suite(n: float, gamma: float, s: float, profile: str,
@@ -122,38 +138,20 @@ def run_decay_suite(n: float, gamma: float, s: float, profile: str,
     """Damped-wave decay fits at orders 0 and s against the predictions
     -gamma/2 and -(s+gamma)/2.  Returns {order: ``fit_rate``'s dict plus its
     ``predicted_rate``} and the curves.csv rows (t, norm, order, gamma, kind)."""
-    v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
-    predicted = {0.0: -gamma / 2.0, s: -(s + gamma) / 2.0}
-    curves = {order: radial.evolve_damped(v0, None, times, order, gamma)
-              for order in predicted}
-    fits = {order: {**fit_rate(times, norms, window),
-                    "predicted_rate": predicted[order]}
-            for order, norms in curves.items()}
-    rows = [(t, norm, order, gamma, "damped") for order, norms in curves.items()
-            for t, norm in zip(times.tolist(), norms.tolist())]
-    return fits, rows
+    return _rate_suite(n, gamma, profile, t0, t1, points, {
+        order: ("damped", order, -(order + gamma) / 2.0)
+        for order in dict.fromkeys((0.0, s))})
 
 
 def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
                         t0: float = 1.0, t1: float = 1e5, points: int = 96):
     """Damped / heat / difference fits, their curves.csv rows, and the parabolic
     gain slope(difference) - slope(damped), expected near -1."""
-    v0, times, window = _suite_inputs(n, gamma, profile, t0, t1, points)
-    curves = {
-        "damped": radial.evolve_damped(v0, None, times, s, gamma),
-        "heat": radial.evolve_heat(v0, None, times, s, gamma),
-        "difference": radial.diffusion_difference(v0, None, times, s, gamma),
-    }
     base_rate = -(s + gamma) / 2.0
-    predicted = {"damped": base_rate, "heat": base_rate,
-                 "difference": base_rate - 1.0}
-    fits = {kind: {**fit_rate(times, norms, window),
-                   "predicted_rate": predicted[kind]}
-            for kind, norms in curves.items()}
-    gain = fits["difference"]["slope"] - fits["damped"]["slope"]
-    rows = [(t, norm, s, gamma, kind) for kind, norms in curves.items()
-            for t, norm in zip(times.tolist(), norms.tolist())]
-    return fits, rows, gain
+    fits, rows = _rate_suite(n, gamma, profile, t0, t1, points, {
+        "damped": ("damped", s, base_rate), "heat": ("heat", s, base_rate),
+        "difference": ("difference", s, base_rate - 1.0)})
+    return fits, rows, fits["difference"]["slope"] - fits["damped"]["slope"]
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +194,27 @@ def exponent_gate(n: float, gamma: float, p: float) -> dict:
             "p_crit": p_crit(n, gamma)}
 
 
-def _evolve_config(run_dir: Path) -> dict:
-    """``config.json`` of an evolve run that stored snapshots."""
+def _read_evolve_run(run_dir: Path) -> tuple:
+    """n, gamma, p, eps, the grid, and the stored times, fields and u0 of an
+    evolve run with snapshots; ContractError names a run it cannot read."""
     path = run_dir / "config.json"
-    config = json.loads(path.read_text()) if path.is_file() else {}
-    if config.get("kind") != "evolve":
-        raise ContractError(f"{str(run_dir)!r} is not an evolve run directory")
-    if not (run_dir / "snapshots.npz").is_file():
-        raise ContractError(f"evolve run {str(run_dir)!r} stored no snapshots")
-    return config
+    try:
+        config = json.loads(path.read_text()) if path.is_file() else {}
+        if not isinstance(config, dict) or config.get("kind") != "evolve":
+            raise ContractError(f"{str(run_dir)!r} is not an evolve run directory")
+        if not (run_dir / "snapshots.npz").is_file():
+            raise ContractError(f"evolve run {str(run_dir)!r} stored no snapshots")
+        with np.load(run_dir / "snapshots.npz") as archive:
+            stored = archive["times"], archive["fields"], archive["u0"]
+        n, gamma, p = int(config["dim"]), float(config["gamma"]), float(config["p"])
+        grid = GridSpec(dim=n, length=float(config["L"]), points=int(config["N"]))
+        eps = float(config["eps"])
+    except CritexError:
+        raise
+    except (OSError, EOFError, ValueError, KeyError, TypeError, BadZipFile) as error:
+        raise ContractError(f"evolve run {str(run_dir)!r} is unreadable: "
+                            f"{type(error).__name__}: {error}") from None
+    return n, gamma, p, eps, grid, *stored
 
 
 def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
@@ -225,16 +235,7 @@ def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
         raise DomainError("need at least one scaling radius")
     if min(radii) < 1:
         raise DomainError(f"scaling radii must satisfy R >= 1, got {min(radii)}")
-    run_dir = Path(run_dir)
-    config = _evolve_config(run_dir)
-    with np.load(run_dir / "snapshots.npz") as archive:
-        snapshot_times = archive["times"]
-        fields = archive["fields"]
-        u0 = archive["u0"]
-
-    n, gamma, p = int(config["dim"]), float(config["gamma"]), float(config["p"])
-    grid = GridSpec(dim=n, length=float(config["L"]), points=int(config["N"]))
-    eps = float(config["eps"])
+    n, gamma, p, eps, grid, snapshot_times, fields, u0 = _read_evolve_run(Path(run_dir))
     radius_sq = _radius_squared(grid)
     cell = grid.cell_volume
     p_conj = conjugate_exponent(p)
@@ -348,12 +349,25 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     grid = GridSpec(dim=dim, length=L, points=N)
     solver_config = SolverConfig(p=p, eps=eps, dt=dt, t_end=tend, theta=theta)
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=gamma)
-    collector = _SnapshotCollector(grid, tend, snapshots) if snapshots else None
+    if snapshots and snapshots < 2:
+        raise DomainError(f"snapshots must be 0 or at least 2, got {snapshots}")
+    targets = np.linspace(0.0, tend, snapshots)
+    fields, stored, passed = np.empty((snapshots, *grid.shape)), [], 0
+
+    def keep(t: float, u_phys: np.ndarray) -> None:
+        # the field is kept when the count of targets at or before t grows
+        nonlocal passed
+        count = np.searchsorted(targets, t, side="right")
+        if count > passed:
+            fields[len(stored)] = u_phys
+            stored.append(t)
+            passed = count
+
     run_dir = _open_run("evolve", params)
 
     started = time.perf_counter()
     result = run(solver_config, data, data, grid, s, gamma,
-                 observer=collector.observe if collector else None)
+                 observer=keep if snapshots else None)
     wall = time.perf_counter() - started
 
     write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
@@ -362,34 +376,13 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
               "weighted_sup": result.weighted_sup}
     meta = {**report, "wall_time_s": wall}
     write_json(run_dir / "meta.json", meta)
-    if collector is not None:
+    if snapshots:
         # stored, not deflated: deflate saves only ~40 % on float64 fields
         # and took about a third of the time of a 2-D snapshot run
-        np.savez(run_dir / "snapshots.npz", times=np.asarray(collector.times),
-                 fields=collector.fields[:len(collector.times)], u0=data)
+        np.savez(run_dir / "snapshots.npz", times=np.asarray(stored),
+                 fields=fields[:len(stored)], u0=data)
     write_json(run_dir / "report.json", report)
     return run_dir, meta
-
-
-class _SnapshotCollector:
-    """Capture the physical field at the first observed time at or past each
-    of ``count`` uniform target times in [0, t_end], into one buffer."""
-
-    def __init__(self, grid: GridSpec, t_end: float, count: int):
-        if count < 2:
-            raise DomainError(f"snapshots must be 0 or at least 2, got {count}")
-        self.targets = np.linspace(0.0, t_end, count)
-        self.next = 0
-        self.times: list[float] = []
-        # rows past len(times) are never written
-        self.fields = np.empty((count, *grid.shape))
-
-    def observe(self, t: float, u_phys: np.ndarray) -> None:
-        if self.next < len(self.targets) and t >= self.targets[self.next]:
-            self.fields[len(self.times)] = u_phys
-            self.times.append(t)
-            while self.next < len(self.targets) and t >= self.targets[self.next]:
-                self.next += 1
 
 
 def _grid_size(dim: int, N: int | None, L: float | None) -> tuple[int, float]:

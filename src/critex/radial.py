@@ -31,7 +31,10 @@ DEFAULT_FIT_WINDOW = (1e2, 1e4)
 
 def sphere_surface(n: float) -> float:
     """Surface measure of the unit sphere in dimension n (real n >= 1)."""
-    return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise DomainError(f"the unit-sphere area overflows in dimension {n}") from None
 
 
 def log_radial_grid(points: int = DEFAULT_POINTS) -> np.ndarray:
@@ -106,10 +109,18 @@ def _plancherel(values: np.ndarray, weight: np.ndarray, steps: np.ndarray,
     return math.sqrt(sigma * float(trapezoids.sum()))
 
 
+def _measure(profile: RadialProfile, s: float) -> tuple:
+    """``_plancherel``'s r^{2s+n}, steps of log r and sigma; DomainError on overflow."""
+    with np.errstate(over="ignore"):
+        weight = profile.r ** (2.0 * s + profile.dim)
+    if not (math.isfinite(weight[0]) and math.isfinite(weight[-1])):
+        raise DomainError(f"weight r^(2s+n) overflows at s = {s}, n = {profile.dim}")
+    return weight, np.diff(np.log(profile.r)), sphere_surface(profile.dim)
+
+
 def norm_radial(profile: RadialProfile, s: float) -> float:
     """Radial Plancherel norm of order s; rejects divergent integrands."""
-    return _plancherel(profile.values, profile.r ** (2.0 * s + profile.dim),
-                       np.diff(np.log(profile.r)), sphere_surface(profile.dim))
+    return _plancherel(profile.values, *_measure(profile, s))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +150,7 @@ def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
 
 
 def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
-           times: np.ndarray, s: float, gamma: float) -> np.ndarray:
+           times: np.ndarray, s: float) -> np.ndarray:
     """Order-s norms at ``times`` of the linear flow ``kind`` of the pair
     (v0, v1); ``v1=None`` is zero velocity data."""
     global _memo_grid
@@ -149,16 +160,11 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
     if v1 is not None and (v0.dim != v1.dim or v0.r.shape != v1.r.shape
                            or not np.array_equal(v0.r, v1.r)):
         raise ContractError("profiles must share dimension and radial grid")
-    # bad data (divergent at either grid end) should fail fast, not mid-curve
-    for profile in (v0,) if v1 is None else (v0, v1):
-        norm_radial(profile, s)
-        norm_radial(profile, -gamma)
+    weight, steps, sigma = _measure(v0, s)
     if not np.array_equal(_memo_grid, v0.r):
         _memo.clear()
         _memo_grid = v0.r.copy()
     norms = np.empty_like(times)
-    weight, steps, sigma = (v0.r ** (2.0 * s + v0.dim), np.diff(np.log(v0.r)),
-                            sphere_surface(v0.dim))
     a, b = v0.values, None if v1 is None else v1.values
     for i, t in enumerate(times.tolist()):
         if kind != "heat":
@@ -176,21 +182,21 @@ def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
 
 
 def evolve_damped(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
-                  s: float, gamma: float) -> np.ndarray:
+                  s: float) -> np.ndarray:
     """Damped-wave norm history: v_hat(t) = k00(t, r) v0 + k01(t, r) v1."""
-    return _curve("damped", v0, v1, times, s, gamma)
+    return _curve("damped", v0, v1, times, s)
 
 
 def evolve_heat(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
-                s: float, gamma: float) -> np.ndarray:
+                s: float) -> np.ndarray:
     """Heat-flow norm history with merged data: w_hat(t) = e^{-r^2 t}(v0 + v1)."""
-    return _curve("heat", v0, v1, times, s, gamma)
+    return _curve("heat", v0, v1, times, s)
 
 
 def diffusion_difference(v0: RadialProfile, v1: RadialProfile | None,
-                         times: np.ndarray, s: float, gamma: float) -> np.ndarray:
+                         times: np.ndarray, s: float) -> np.ndarray:
     """Norm history of the damped-wave/heat difference (the parabolic gain)."""
-    return _curve("difference", v0, v1, times, s, gamma)
+    return _curve("difference", v0, v1, times, s)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     if observer is not None:
         observer(0.0, u_phys)
     sample_times = _record_times(config.dt, config.t_end, _HISTORY_SAMPLES)
-    next_sample = 0
+    samples_passed = 0
 
     growth, quiet_ratio, cap_fraction = (2.0 ** _STEP_SCALE, 1.02 ** _STEP_SCALE,
                                          _STEP_SCALE / 16.0)
@@ -312,10 +312,10 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             blow_up_time = t
             break
 
-        if next_sample < len(sample_times) and t >= sample_times[next_sample]:
+        passed = np.searchsorted(sample_times, t, side="right")
+        if passed > samples_passed:
             record(t, u, u_phys)
-            while next_sample < len(sample_times) and t >= sample_times[next_sample]:
-                next_sample += 1
+            samples_passed = passed
 
     if status is None:
         status = STATUS_COMPLETED

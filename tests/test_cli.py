@@ -1,5 +1,7 @@
 import concurrent.futures
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -478,6 +480,46 @@ class TestRunInputFailsFast:
                          "--s", "1", "--profile", "gaussian", flag, value)
         assert "points >= 1 and t0 > 0" in err
 
+    @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
+    def test_rate_suite_data_outside_negative_order(self, capsys, tmp_path,
+                                                    command):
+        # r^-0.9 in n = 2 lies in H^0 and H^1 but not in the homogeneous H^-0.7
+        err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
+                         "--s", "1", "--profile", "powerlaw:a=0.9")
+        assert "grows toward the inner end" in err
+
+    # r^(2s+n) overflows at r = 1e3 once 2s + n passes 102.7, and the
+    # unit-sphere area once n passes 343; an overflow warning would fail the
+    # test as an error
+    @pytest.mark.parametrize("n", ["110", "400"])
+    @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
+    def test_rate_suite_large_dimension(self, capsys, tmp_path, command, n):
+        err = self.fails(capsys, tmp_path, command, "--n", n, "--gamma", "1",
+                         "--s", "1", "--profile", "powerlaw:a=1")
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("damage", ["config-not-json", "config-a-list",
+                                        "config-without-L", "archive-garbage"])
+    def test_testfn_unreadable_run(self, capsys, tmp_path, damage):
+        code, out, _ = run_cli(capsys, "evolve", *RUNS["evolve"],
+                               "--out", str(tmp_path / "source"))
+        assert code == 0
+        run_dir = Path(json.loads(out)["run_dir"])
+        config = run_dir / "config.json"
+        if damage == "config-not-json":
+            config.write_text("{not json")
+        elif damage == "config-a-list":
+            config.write_text("[1, 2]")
+        elif damage == "config-without-L":
+            stored = json.loads(config.read_text())
+            del stored["L"]
+            config.write_text(json.dumps(stored))
+        else:
+            (run_dir / "snapshots.npz").write_bytes(b"garbage")
+        err = self.fails(capsys, tmp_path, "testfn", "--run", str(run_dir),
+                         "--R", "1")
+        assert repr(str(run_dir)) in err
+
 
 class TestNonFiniteInput:
     """nan and inf are refused as a flag and as a --config value: exit 2, one
@@ -652,6 +694,14 @@ class TestSignatureIsTheDescription:
         for argv in examples:
             _, values = resolve(build_parser().parse_args(argv))
             assert set(values) == parameter_names(COMMANDS[argv[0]])
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n.*?```python\n(.*?)```", readme,
+                       re.S).group(1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(sketch, {})
 
 
 RUNS = {

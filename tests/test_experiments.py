@@ -100,6 +100,21 @@ class TestSuites:
         run_diffusion_suite(2, 0.7, 0.0, "powerlaw:a=0.25", t0=10.0, t1=1e4, points=48)
         assert calls == dict.fromkeys(names, 1)
 
+    @pytest.mark.parametrize("suite, orders", [(run_decay_suite, [0.0, -0.7, 1.0]),
+                                               (run_diffusion_suite, [1.0, -0.7])])
+    def test_each_order_is_checked_once(self, monkeypatch, suite, orders):
+        # v0 in H^order and H^-gamma, once per distinct order, before any curve
+        checked = []
+        norm_radial = radial.norm_radial
+
+        def counted(profile, s):
+            checked.append(s)
+            return norm_radial(profile, s)
+
+        monkeypatch.setattr(radial, "norm_radial", counted)
+        suite(2, 0.7, 1.0, "powerlaw:a=0.25", t0=10.0, t1=1e4, points=48)
+        assert checked == orders
+
 
 def sweep(tmp_path, p: float, gamma: float, eps_start: float, eps_factor: float,
           count: int, grid: dict = TINY_GRID, **kwargs) -> dict:

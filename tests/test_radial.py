@@ -50,6 +50,13 @@ class TestNormRadial:
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
+    @pytest.mark.parametrize("n, s", [(110.0, 0.0), (2.0, -60.0)])
+    def test_rejects_an_overflowing_weight(self, n, s):
+        # r^(2s+n) overflows at r = 1e3, or at r = 1e-6 for a steep negative
+        # order; a NaN norm must not come back
+        with pytest.raises(DomainError, match="overflows"):
+            norm_radial(gaussian_profile(n), s)
+
     @staticmethod
     def trapezoid_norm(values, r, s, n):
         # the norm as np.trapezoid computes it
@@ -99,12 +106,17 @@ class TestSphereSurface:
         assert sphere_surface(n + 2) == pytest.approx(
             2 * np.pi * sphere_surface(n) / n, rel=1e-15, abs=0.0)
 
+    def test_overflow_is_a_domain_error(self):
+        # Gamma(n/2) overflows a float from n = 344 on
+        with pytest.raises(DomainError, match="overflows"):
+            sphere_surface(400.0)
+
 
 class TestHeatEvolution:
     def test_initial_norm_is_merged_data(self):
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(0.5 * v0.values)
-        norms = evolve_heat(v0, v1, np.array([1e-12, 1.0]), 0.0, 0.7)
+        norms = evolve_heat(v0, v1, np.array([1e-12, 1.0]), 0.0)
         merged = v0.with_values(v0.values + v1.values)
         assert norms[0] == pytest.approx(norm_radial(merged, 0.0), rel=1e-9)
 
@@ -115,7 +127,7 @@ class TestHeatEvolution:
         v0 = power_law_profile(n, a)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 25)
-        norms = evolve_heat(v0, v1, times, 0.0, gamma)
+        norms = evolve_heat(v0, v1, times, 0.0)
         for t, norm in zip(times, norms):
             assert norm == pytest.approx(heat_norm_oracle(t, n, a), rel=1e-6)
 
@@ -124,7 +136,7 @@ class TestHeatEvolution:
         v0 = gaussian_profile(2, 1.0)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(1.0, 1e4, 20)
-        norms = evolve_heat(v0, v1, times, 0.0, 0.7)
+        norms = evolve_heat(v0, v1, times, 0.0)
         expected = np.sqrt(np.pi / 2) / np.sqrt(1.0 + times)
         np.testing.assert_allclose(norms, expected, rtol=1e-6)
 
@@ -134,14 +146,14 @@ class TestHeatEvolution:
         big = RadialProfile(2, r, np.full(64, 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
-            evolve_heat(big, big, np.array([0.0]), 0.0, 0.5)
+            evolve_heat(big, big, np.array([0.0]), 0.0)
 
 
 class TestDampedEvolution:
     def test_identity_at_zero(self):
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(np.zeros_like(v0.values))
-        norms = evolve_damped(v0, v1, np.array([0.0, 1.0]), 0.0, 0.7)
+        norms = evolve_damped(v0, v1, np.array([0.0, 1.0]), 0.0)
         assert norms[0] == pytest.approx(norm_radial(v0, 0.0), rel=1e-12)
 
     def test_velocity_data_slope(self):
@@ -149,7 +161,7 @@ class TestDampedEvolution:
         v1 = power_law_profile(2, 0.0)
         v0 = v1.with_values(np.zeros_like(v1.values))
         times = np.geomspace(1.0, 1e4, 60)
-        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, 0.9), (1e2, 1e4))
+        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), (1e2, 1e4))
         assert fit["slope"] == pytest.approx(-0.5, abs=0.02)
 
     def test_powerlaw_family_slope(self):
@@ -158,7 +170,7 @@ class TestDampedEvolution:
         v0 = power_law_profile(n, a)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 60)
-        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, gamma), (1e2, 1e4))
+        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), (1e2, 1e4))
         assert fit["slope"] == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
 
     def test_sharpness_ladder_monotone(self):
@@ -169,7 +181,7 @@ class TestDampedEvolution:
         for margin in (0.25, 0.2, 0.15, 0.1, 0.05):
             v0 = power_law_profile(n, n / 2 - gamma - margin)
             v1 = v0.with_values(np.zeros_like(v0.values))
-            fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, gamma),
+            fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0),
                            (1e2, 1e4))
             slopes.append(fit["slope"])
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
@@ -182,13 +194,13 @@ class TestDampedEvolution:
         big = RadialProfile(2, r, np.where(r <= 1.0, 1e308, 0.0))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
-            evolve_damped(big, big, np.array([0.0, 10.0]), 0.0, 0.5)
+            evolve_damped(big, big, np.array([0.0, 10.0]), 0.0)
 
     def test_grid_mismatch(self):
         v0 = power_law_profile(2, 0.25)
         other = power_law_profile(2, 0.25, r=log_radial_grid(points=128))
         with pytest.raises(ContractError):
-            evolve_damped(v0, other, np.array([1.0]), 0.0, 0.5)
+            evolve_damped(v0, other, np.array([1.0]), 0.0)
 
 
 class TestDiffusionDifference:
@@ -196,7 +208,7 @@ class TestDiffusionDifference:
         # v1 = 0 and t = 0: damped equals heat exactly
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(np.zeros_like(v0.values))
-        norms = diffusion_difference(v0, v1, np.array([0.0, 1.0]), 0.0, 0.7)
+        norms = diffusion_difference(v0, v1, np.array([0.0, 1.0]), 0.0)
         assert norms[0] == 0.0
 
     def test_antisymmetric_data_reduces_to_damped(self):
@@ -204,8 +216,8 @@ class TestDiffusionDifference:
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(-v0.values)
         times = np.geomspace(1.0, 100.0, 12)
-        diff = diffusion_difference(v0, v1, times, 0.0, 0.7)
-        damped = evolve_damped(v0, v1, times, 0.0, 0.7)
+        diff = diffusion_difference(v0, v1, times, 0.0)
+        damped = evolve_damped(v0, v1, times, 0.0)
         np.testing.assert_allclose(diff, damped, rtol=1e-12)
 
     def test_gain_window(self):
@@ -216,9 +228,9 @@ class TestDiffusionDifference:
                 a = n / 2 - gamma - 0.05
                 v0 = power_law_profile(n, a)
                 v1 = v0.with_values(np.zeros_like(v0.values))
-                damped = fit_rate(times, evolve_damped(v0, v1, times, s, gamma),
+                damped = fit_rate(times, evolve_damped(v0, v1, times, s),
                                   (1e2, 1e4))
-                diff = fit_rate(times, diffusion_difference(v0, v1, times, s, gamma),
+                diff = fit_rate(times, diffusion_difference(v0, v1, times, s),
                                 (1e2, 1e4))
                 gain = diff["slope"] - damped["slope"]
                 assert -1.3 <= gain <= -0.85, (s, gamma, gain)
@@ -227,8 +239,8 @@ class TestDiffusionDifference:
         v0 = power_law_profile(2, 0.25)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 24)
-        damped = evolve_damped(v0, v1, times, 0.0, 0.7)
-        diff = diffusion_difference(v0, v1, times, 0.0, 0.7)
+        damped = evolve_damped(v0, v1, times, 0.0)
+        diff = diffusion_difference(v0, v1, times, 0.0)
         ratio = diff / damped
         assert all(b < a for a, b in zip(ratio, ratio[1:]))
 
@@ -251,7 +263,7 @@ class TestCompositionPinned:
         v0 = power_law_profile(2, 0.25)
         v1 = gaussian_profile(2, 3.0)
         times = np.array([0.0, 0.5, 3.0, 40.0, 900.0])
-        norms = evolve(v0, v1, times, 1.0, 0.7)
+        norms = evolve(v0, v1, times, 1.0)
         expected = [norm_radial(v0.with_values(self.oracle(kind, float(t), v0, v1)), 1.0)
                     for t in times]
         assert norms.dtype == np.float64
@@ -316,15 +328,14 @@ class TestDimensionKnob:
 
             v0 = power_law_profile(float(dim), 0.25)
             v1 = v0.with_values(np.zeros_like(v0.values))
-            lab_fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0,
-                                                    0.2 if dim == 1 else 0.7), window)
+            lab_fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), window)
             assert abs(grid_fit["slope"] - lab_fit["slope"]) < 0.05, dim
 
     def test_non_integer_dimension(self):
         v0 = power_law_profile(2.5, 0.3)
         v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 40)
-        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0, 0.5), (1e2, 1e4))
+        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), (1e2, 1e4))
         # slope -(n - 2a)/4 = -(2.5 - 0.6)/4
         assert fit["slope"] == pytest.approx(-1.9 / 4, abs=0.03)
 
@@ -390,15 +401,15 @@ class TestKernelMemo:
         zeros = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(1.0, 1e3, 16)
         for evolve in (evolve_damped, evolve_heat, diffusion_difference):
-            np.testing.assert_array_equal(evolve(v0, None, times, 1.0, 0.6),
-                                          evolve(v0, zeros, times, 1.0, 0.6))
+            np.testing.assert_array_equal(evolve(v0, None, times, 1.0),
+                                          evolve(v0, zeros, times, 1.0))
 
     def test_warm_velocity_curve_forms_no_kernel(self, monkeypatch, kernel_calls):
         heat_calls = self.count(monkeypatch, heat_multiplier)
         v0 = power_law_profile(3.0, 0.85)
         v1 = v0.with_values(0.5 * v0.values)
         times = np.geomspace(1.0, 1e3, 16)
-        diffusion_difference(v0, v1, times, 1.0, 0.6)
+        diffusion_difference(v0, v1, times, 1.0)
         # k00 and k01 are formed apart, each once per time
         assert len(kernel_calls) == 2 * times.size
         assert len(heat_calls) == times.size
@@ -406,7 +417,7 @@ class TestKernelMemo:
         heat_calls.clear()
         for kind, evolve in (("damped", evolve_damped), ("heat", evolve_heat),
                              ("difference", diffusion_difference)):
-            warm = evolve(v0, v1, times, 1.0, 0.6)
+            warm = evolve(v0, v1, times, 1.0)
             np.testing.assert_array_equal(warm, self.reference(times, kind, 1.0, v0, v1))
         assert kernel_calls == heat_calls == []
 
@@ -425,8 +436,8 @@ class TestKernelMemo:
         moved[100] = 0.5 * (r[100] + r[101])
         v0 = power_law_profile(3.0, 0.85)
         w0 = power_law_profile(3.0, 0.85, r=moved)
-        evolve_damped(v0, None, times, 1.0, 0.6)
-        norms = evolve_damped(w0, None, times, 1.0, 0.6)
+        evolve_damped(v0, None, times, 1.0)
+        norms = evolve_damped(w0, None, times, 1.0)
         assert len(kernel_calls) == 2 * times.size
         np.testing.assert_array_equal(norms, self.reference(times, "damped", 1.0, w0))
 
@@ -438,23 +449,23 @@ class TestKernelMemo:
         # decreasing or 2-d times fail before any multiplier is formed; a
         # negative time fails in the kernel at the first sample
         v0 = power_law_profile(3.0, 0.85)
-        evolve_damped(v0, None, [1.0, 2.0], 0.0, 0.6)
+        evolve_damped(v0, None, [1.0, 2.0], 0.0)
         before = list(radial._memo.items())
         with pytest.raises(error):
-            evolve_damped(v0, None, times, 0.0, 0.6)
+            evolve_damped(v0, None, times, 0.0)
         after = list(radial._memo.items())
         assert [key for key, _ in after] == [key for key, _ in before]
         assert all(a is b for (_, a), (_, b) in zip(after, before))
 
     def test_memo_stays_within_budget(self):
         v0 = gaussian_profile(3.0, r=log_radial_grid(2 * DEFAULT_POINTS))
-        evolve_damped(v0, None, np.geomspace(1.0, 1e5, 200), 0.0, 0.6)
+        evolve_damped(v0, None, np.geomspace(1.0, 1e5, 200), 0.0)
         held = sum(k00.nbytes for k00 in radial._memo.values())
         assert 0 < held <= radial._MEMO_BUDGET_BYTES
 
     def test_memo_arrays_are_read_only(self):
         v0 = power_law_profile(3.0, 0.85)
-        evolve_damped(v0, None, np.geomspace(1.0, 10.0, 4), 0.0, 0.6)
+        evolve_damped(v0, None, np.geomspace(1.0, 10.0, 4), 0.0)
         k00 = next(iter(radial._memo.values()))
         with pytest.raises(ValueError):
             k00[0] = 1.0
