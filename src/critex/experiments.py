@@ -196,7 +196,8 @@ def exponent_gate(n: float, gamma: float, p: float) -> dict:
 
 def _read_evolve_run(run_dir: Path) -> tuple:
     """n, gamma, p, eps, the grid, and the stored times, fields and u0 of an
-    evolve run with snapshots; ContractError names a run it cannot read."""
+    evolve run with snapshots; ContractError names a run it cannot read or
+    whose archive does not match the grid of its config."""
     path = run_dir / "config.json"
     try:
         config = json.loads(path.read_text()) if path.is_file() else {}
@@ -214,7 +215,14 @@ def _read_evolve_run(run_dir: Path) -> tuple:
     except (OSError, EOFError, ValueError, KeyError, TypeError, BadZipFile) as error:
         raise ContractError(f"evolve run {str(run_dir)!r} is unreadable: "
                             f"{type(error).__name__}: {error}") from None
-    return n, gamma, p, eps, grid, *stored
+    times, fields, u0 = stored
+    if times.shape != fields.shape[:1] or fields.shape[1:] != grid.shape \
+            or u0.shape != grid.shape:
+        raise ContractError(
+            f"evolve run {str(run_dir)!r} stores {times.shape} times, fields "
+            f"{fields.shape} and u0 {u0.shape}, which do not match its grid "
+            f"{grid.shape}")
+    return n, gamma, p, eps, grid, times, fields, u0
 
 
 def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:

@@ -1,4 +1,5 @@
-"""Periodic-grid fields, unitary half-spectrum transforms, and norm weights.
+"""Periodic-grid fields, unitary half-spectrum transforms, norm weights, and
+the initial data.
 
 Fields live on a cubic periodic box [-L/2, L/2)^dim sampled with N points
 per axis.  Physical fields are real, so only half of their spectrum is
@@ -19,6 +20,9 @@ and Nyquist planes, which hold their own conjugates.  Every norm is a
 ``weighted_norms`` sum against ``hermitian_weight`` (the L2 norm, mean
 included) or ``norm_weights`` (the homogeneous order-s norm, weight
 w_k |k|^(2s) with k = 0 excluded), so it carries this weight.
+
+The initial data are one family, the critical-tail profile of
+``make_initial_data``, which sits at the edge of the order -gamma space.
 """
 
 from __future__ import annotations
@@ -167,10 +171,6 @@ def _forward_coeffs(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _rfftn(samples, grid) * _unitary_scales(grid)[0]
 
 
-def _inverse_samples(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _irfftn(coeffs * _unitary_scales(grid)[1], grid)
-
-
 def transform_forward(samples: np.ndarray, grid: GridSpec) -> SpectrumField:
     """Unitary forward transform of real physical samples."""
     samples = np.asarray(samples, dtype=float)
@@ -182,7 +182,7 @@ def transform_forward(samples: np.ndarray, grid: GridSpec) -> SpectrumField:
 
 def transform_inverse(field: SpectrumField) -> np.ndarray:
     """Inverse transform back to real physical samples."""
-    return _inverse_samples(field.coeffs, field.grid)
+    return _irfftn(field.coeffs * _unitary_scales(field.grid)[1], field.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -215,41 +215,18 @@ def _radius_squared(grid: GridSpec) -> np.ndarray:
     return sum(m * m for m in mesh)
 
 
-def make_initial_data(kind: str, grid: GridSpec, **params) -> np.ndarray:
-    """Build physical initial data on the grid, centered in the box.
-
-    Kinds:
-      ``gaussian(amplitude, width)``       A * exp(-|x|^2 / (2 width^2))
-      ``critical_tail(amplitude, gamma)``  A * <x>^-(n/2+gamma) / log(e + |x|),
-                                           the profile sitting exactly at the
-                                           integrability edge of the order
-                                           -gamma norm
-    """
-    if kind == "gaussian":
-        amplitude = params.pop("amplitude", 1.0)
-        width = params.pop("width", 1.0)
-        _reject_extra(params)
-        if amplitude <= 0 or width <= 0:
-            raise DomainError(
-                f"gaussian needs positive amplitude and width, got {amplitude}, {width}")
-        return amplitude * np.exp(-_radius_squared(grid) / (2.0 * width * width))
-
-    if kind == "critical_tail":
-        amplitude = params.pop("amplitude", 1.0)
-        gamma = params.pop("gamma")
-        _reject_extra(params)
-        if amplitude <= 0:
-            raise DomainError(f"critical_tail needs positive amplitude, got {amplitude}")
-        if gamma <= 0:
-            raise DomainError(f"critical_tail needs positive gamma, got {gamma}")
-        r2 = _radius_squared(grid)
-        bracket = np.sqrt(1.0 + r2)
-        return amplitude * bracket ** (-(grid.dim / 2.0 + gamma)) \
-            / np.log(np.e + np.sqrt(r2))
-
-    raise DomainError(f"unknown initial data kind {kind!r}")
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise DomainError(f"unexpected parameters: {sorted(params)}")
+def make_initial_data(kind: str, grid: GridSpec, gamma: float,
+                      amplitude: float = 1.0) -> np.ndarray:
+    """The critical-tail profile A * <x>^-(n/2+gamma) / log(e + |x|), centered
+    in the box: it sits exactly at the integrability edge of the order -gamma
+    norm.  ``kind`` must be ``"critical_tail"``, the only kind."""
+    if kind != "critical_tail":
+        raise DomainError(f"unknown initial data kind {kind!r}")
+    if amplitude <= 0:
+        raise DomainError(f"critical_tail needs positive amplitude, got {amplitude}")
+    if gamma <= 0:
+        raise DomainError(f"critical_tail needs positive gamma, got {gamma}")
+    r2 = _radius_squared(grid)
+    bracket = np.sqrt(1.0 + r2)
+    return amplitude * bracket ** (-(grid.dim / 2.0 + gamma)) \
+        / np.log(np.e + np.sqrt(r2))

@@ -16,13 +16,13 @@ from scipy.integrate import quad, solve_ivp
 
 from critex import (GridSpec, SolverConfig, State, alpha0, gamma_tilde,
                     kernel_entries, lifespan_exponent, make_initial_data, p_crit,
-                    p_fujita, run, step, transform_forward)
+                    p_fujita, run, step, transform_forward, transform_inverse)
 from critex.experiments import (emit_phase_diagram, exponent_gate,
                                 experiment_evolve, experiment_testfn)
-from critex.fields import _inverse_samples
 from critex.radial import (evolve_damped, evolve_heat, fit_rate,
                            power_law_profile, sphere_surface)
 from critex.solver import STATUS_BLOW_UP, STATUS_COMPLETED, linear_reference
+from test_solver import gaussian
 
 
 @contextmanager
@@ -167,8 +167,7 @@ def test_criterion_5_solver_order_and_linear_limit():
     with criterion(5, "solver order and linear limit", 60.0):
         # Richardson ladder on smooth data
         grid = GridSpec(dim=1, length=16 * np.pi, points=256)
-        data = 0.5 * make_initial_data("gaussian", grid, amplitude=1.0,
-                                       width=grid.length / 40)
+        data = 0.5 * gaussian(grid, grid.length / 40)
         u = transform_forward(data, grid)
         ut = transform_forward(np.zeros(grid.shape), grid)
         config = SolverConfig(p=2.0, eps=1.0, dt=1.0, t_end=1.0)
@@ -208,7 +207,7 @@ def test_criterion_5_solver_order_and_linear_limit():
         state = State(u, ut, 0.0)
         for _ in range(int(round(1.0 / config.dt))):
             state = step(state, config.dt, config)
-        constant = _inverse_samples(state.u_hat.coeffs, grid).real[0]
+        constant = transform_inverse(state.u_hat)[0]
         oracle = solve_ivp(lambda _, y: [y[1], abs(y[0]) ** 2 - y[1]],
                            (0.0, 1.0), [value, 0.0], rtol=1e-12, atol=1e-14,
                            dense_output=True)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from critex.cli import COMMANDS, build_parser, main, resolve
@@ -488,6 +489,14 @@ class TestRunInputFailsFast:
                          "--s", "1", "--profile", "powerlaw:a=0.9")
         assert "grows toward the inner end" in err
 
+    @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
+    def test_rate_suite_norm_overflow(self, capsys, tmp_path, command):
+        # r^-30 is finite on the grid, but its square overflows near r = 1e-6;
+        # an overflow warning would fail the test as an error
+        err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
+                         "--s", "1", "--profile", "powerlaw:a=30")
+        assert "not finite" in err
+
     # r^(2s+n) overflows at r = 1e3 once 2s + n passes 102.7, and the
     # unit-sphere area once n passes 343; an overflow warning would fail the
     # test as an error
@@ -499,7 +508,8 @@ class TestRunInputFailsFast:
         assert "overflows" in err
 
     @pytest.mark.parametrize("damage", ["config-not-json", "config-a-list",
-                                        "config-without-L", "archive-garbage"])
+                                        "config-without-L", "config-other-N",
+                                        "archive-garbage", "archive-short-times"])
     def test_testfn_unreadable_run(self, capsys, tmp_path, damage):
         code, out, _ = run_cli(capsys, "evolve", *RUNS["evolve"],
                                "--out", str(tmp_path / "source"))
@@ -514,6 +524,16 @@ class TestRunInputFailsFast:
             stored = json.loads(config.read_text())
             del stored["L"]
             config.write_text(json.dumps(stored))
+        elif damage == "config-other-N":
+            # the archive holds 256-point fields; the config now says 512
+            stored = json.loads(config.read_text())
+            stored["N"] = 512
+            config.write_text(json.dumps(stored))
+        elif damage == "archive-short-times":
+            with np.load(run_dir / "snapshots.npz") as archive:
+                stored = dict(archive)
+            stored["times"] = stored["times"][1:]
+            np.savez(run_dir / "snapshots.npz", **stored)
         else:
             (run_dir / "snapshots.npz").write_bytes(b"garbage")
         err = self.fails(capsys, tmp_path, "testfn", "--run", str(run_dir),

@@ -50,6 +50,14 @@ class TestNormRadial:
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
+    def test_rejects_overflowing_integrand(self):
+        # finite values whose square overflows; an overflow warning would
+        # fail the test as an error
+        r = log_radial_grid(points=64)
+        profile = RadialProfile(2, r, np.where(r <= 1.0, 1e200, 0.0))
+        with pytest.raises(ContractError, match="finite"):
+            norm_radial(profile, 0.0)
+
     @pytest.mark.parametrize("n, s", [(110.0, 0.0), (2.0, -60.0)])
     def test_rejects_an_overflowing_weight(self, n, s):
         # r^(2s+n) overflows at r = 1e3, or at r = 1e-6 for a steep negative

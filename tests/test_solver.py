@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from critex import (ContractError, DomainError, GridSpec, SolverConfig, State,
-                    make_initial_data, nonlinearity, run, solver, step,
-                    transform_forward)
-from critex.fields import (_forward_coeffs, _inverse_samples, dealias_mask,
+from critex import (ContractError, DomainError, GridSpec, SolverConfig,
+                    SpectrumField, State, make_initial_data, nonlinearity, run,
+                    solver, step, transform_forward, transform_inverse)
+from critex.fields import (_forward_coeffs, _radius_squared, dealias_mask,
                            hermitian_weight, norm_weights, wavenumber_magnitude,
                            weighted_norms)
 from critex.propagators import forcing_weights, kernel_entries
@@ -20,9 +20,13 @@ def small_grid(points=256, length=16 * np.pi):
     return GridSpec(dim=1, length=length, points=points)
 
 
+def gaussian(grid, width):
+    """exp(-|x|^2 / (2 width^2)), centered in the box."""
+    return np.exp(-_radius_squared(grid) / (2.0 * width * width))
+
+
 def smooth_state(grid, amplitude=1.0):
-    data = amplitude * make_initial_data("gaussian", grid, amplitude=1.0,
-                                         width=grid.length / 40)
+    data = amplitude * gaussian(grid, grid.length / 40)
     u = transform_forward(data, grid)
     ut = transform_forward(np.zeros(grid.shape), grid)
     return State(u, ut, 0.0)
@@ -101,7 +105,7 @@ class TestStep:
         steps = int(round(1.0 / config.dt))
         for _ in range(steps):
             state = step(state, config.dt, config)
-        constant = _inverse_samples(state.u_hat.coeffs, grid).real[0]
+        constant = transform_inverse(state.u_hat)[0]
 
         def rhs(_, y):
             return [y[1], abs(y[0]) ** 2 - y[1]]
@@ -162,7 +166,7 @@ class TestForcingStructure:
         from critex.fields import wavenumber_magnitude
         h = 0.01
         _, k01, _, _ = kernel_entries(h, wavenumber_magnitude(grid))
-        increment = _inverse_samples(h * k01 * coeffs, grid).real
+        increment = transform_inverse(SpectrumField(grid, h * k01 * coeffs))
         assert increment.min() >= -1e-10 * increment.max()
 
 
@@ -195,8 +199,7 @@ class TestRun:
 
     def test_zero_eps_completes_and_matches_linear(self):
         grid = small_grid()
-        data = make_initial_data("gaussian", grid, amplitude=1.0,
-                                 width=grid.length / 40)
+        data = gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.0, dt=0.05, t_end=2.0)
         result = run(config, data, np.zeros(grid.shape), grid, 1.0, 0.5)
         assert result.status == STATUS_COMPLETED
@@ -221,7 +224,7 @@ class TestRun:
     def test_linear_reference_composition_pinned(self):
         # per-time oracle: k00 u + k01 ut from the kernel entries, same norms
         grid = GridSpec(dim=2, length=8 * np.pi, points=32)
-        u0 = make_initial_data("gaussian", grid, amplitude=1.0, width=2.0)
+        u0 = gaussian(grid, 2.0)
         u1 = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         times = np.array([0.0, 0.25, 2.0, 30.0])
         u = _forward_coeffs(0.3 * u0, grid)
@@ -239,8 +242,7 @@ class TestRun:
     def test_history_uses_public_norms(self):
         # the recorded norms are fields' norms, bit for bit
         for grid in (small_grid(), GridSpec(dim=2, length=8 * np.pi, points=32)):
-            u0 = make_initial_data("gaussian", grid, amplitude=1.0,
-                                   width=grid.length / 40)
+            u0 = gaussian(grid, grid.length / 40)
             u0 -= u0.mean()
             config = SolverConfig(p=2.0, eps=0.3, dt=0.02, t_end=0.1)
             result = run(config, u0, u0, grid, 0.75, 0.5)
@@ -254,8 +256,7 @@ class TestRun:
 
     def test_history_structure(self):
         grid = small_grid()
-        data = make_initial_data("gaussian", grid, amplitude=0.1,
-                                 width=grid.length / 40)
+        data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.02, t_end=5.0)
         result = run(config, data, data, grid, 1.0, 0.5)
         assert result.status == STATUS_COMPLETED
@@ -272,8 +273,7 @@ class TestRun:
         # rows at t = 0, at most one per accepted step, and at t_end: a short
         # run with few steps records fewer rows than the 96 targets
         grid = small_grid()
-        data = make_initial_data("gaussian", grid, amplitude=0.1,
-                                 width=grid.length / 40)
+        data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.1, t_end=1.0)
         observed = []
         result = run(config, data, data, grid, 1.0, 0.5,
@@ -312,8 +312,7 @@ class TestRun:
         monkeypatch.setattr(solver, "_STEP_SCALE", 1e-12)
         monkeypatch.setattr(solver, "_DT_MIN_RATIO", 1e-6)
         grid = small_grid(points=64)
-        data = make_initial_data("gaussian", grid, amplitude=1.0,
-                                 width=grid.length / 10)
+        data = gaussian(grid, grid.length / 10)
         config = SolverConfig(p=2.0, eps=5.0, dt=0.1, t_end=10.0)
         result = run(config, data, data, grid, 1.0, 0.5)
         assert result.status == STATUS_STEP_UNDERFLOW
@@ -327,8 +326,7 @@ class TestRun:
 
     def test_three_dimensional_smoke(self):
         grid = GridSpec(dim=3, length=8 * np.pi, points=16)
-        data = make_initial_data("gaussian", grid, amplitude=0.2,
-                                 width=grid.length / 8)
+        data = 0.2 * gaussian(grid, grid.length / 8)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=1.0)
         result = run(config, data, np.zeros(grid.shape), grid, 1.0, 0.5)
         assert result.status == STATUS_COMPLETED
