@@ -96,8 +96,6 @@ def wavenumber_magnitude(grid: GridSpec) -> np.ndarray:
     """|k| on the half-spectrum layout."""
     k_full = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     k_half = 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
-    if grid.dim == 1:
-        return k_half
     return np.sqrt(sum(k * k for k in _half_mesh(grid, k_full, k_half)))
 
 
@@ -107,8 +105,6 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     n = grid.points
     keep_full = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0
     keep_half = np.fft.rfftfreq(n, d=1.0 / n) <= n / 3.0
-    if grid.dim == 1:
-        return keep_half
     return reduce(np.logical_and, _half_mesh(grid, keep_full, keep_half))
 
 
@@ -209,8 +205,6 @@ def weighted_norms(coeffs: np.ndarray, weights) -> list[float]:
 
 def _radius_squared(grid: GridSpec) -> np.ndarray:
     x = axis_coordinates(grid)
-    if grid.dim == 1:
-        return x * x
     mesh = np.meshgrid(*([x] * grid.dim), indexing="ij")
     return sum(m * m for m in mesh)
 

@@ -76,7 +76,8 @@ def power_law_profile(dim: float, exponent: float,
                       r: np.ndarray | None = None) -> RadialProfile:
     """v_hat(r) = r^-exponent on (0, 1], zero beyond."""
     r = log_radial_grid() if r is None else np.asarray(r, dtype=float)
-    values = np.where(r <= 1.0, r ** (-exponent), 0.0)
+    with np.errstate(over="ignore"):
+        values = np.where(r <= 1.0, r ** (-exponent), 0.0)
     return RadialProfile(dim, r, values)
 
 

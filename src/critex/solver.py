@@ -25,8 +25,9 @@ Blow-up has no finite criterion, so a max-amplitude threshold theta stands
 in for norm divergence; near genuine blow-up the measured time is
 insensitive to theta over many orders of magnitude.  One scale lambda
 (``_STEP_SCALE``) drives the step policy: steps halve whenever the amplitude
-grows by more than 2^lambda in one step, and double after a quiet streak up
-to lambda t/16.  The lifespan's step bias is second order in lambda.
+grows by more than 2^lambda in one step, and double, up to lambda t/16, on
+the first quiet step once _REGROWTH_STREAK steps were accepted since the
+last halving or doubling.  The lifespan's step bias is second order in lambda.
 Running out of step size (StepUnderflow) is reported separately but counted
 as blow-up by lifespan sweeps, since gradient steepening beyond resolvable
 steps is numerically indistinguishable from divergence.
@@ -54,12 +55,14 @@ LIFESPAN_INFINITE = math.inf
 
 _HISTORY_SAMPLES = 96
 # Step policy, scaled by lambda = _STEP_SCALE (read by each run): halve when
-# max|u| grows by more than 2^lambda in one step, and double after
-# _REGROWTH_STREAK accepted steps that grew by at most 1.02^lambda, up to
-# lambda t/16.  Past the transient the dynamics slow down with t while the
-# propagation and the forcing weights stay exact at any step, so long
-# diffusive runs cost O(log t) steps.  Halving lambda cuts the lifespan's
-# step bias about fourfold (tests/test_solver.py::TestLifespanAccuracy).
+# max|u| grows by more than 2^lambda in one step.  Double, up to lambda t/16,
+# on the first accepted step that grew by at most 1.02^lambda once
+# _REGROWTH_STREAK steps have been accepted since the last halving or
+# doubling; a step that grew more does not restart that count.  Past the
+# transient the dynamics slow down with t while the propagation and the
+# forcing weights stay exact at any step, so long diffusive runs cost
+# O(log t) steps.  Halving lambda cuts the lifespan's step bias about
+# fourfold (tests/test_solver.py::TestLifespanAccuracy).
 # StepUnderflow is reported below dt * _DT_MIN_RATIO.
 _STEP_SCALE = 1.0
 _REGROWTH_STREAK = 4
@@ -210,24 +213,18 @@ def step(state: State, h: float, config: SolverConfig) -> State:
                  state.t + h)
 
 
-def _record_times(dt: float, t_end: float, samples: int) -> np.ndarray:
-    lo = min(dt, t_end)
-    if lo >= t_end:
-        return np.array([t_end])
-    return np.geomspace(lo, t_end, samples)
-
-
 def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         s: float, gamma: float, observer=None) -> RunResult:
     """March the semilinear problem with data (eps*u0, eps*u1) to t_end.
 
-    Records a norm-history row at t = 0, after each accepted step that
-    passes one of the 96 geometric targets in [dt, t_end] (at most one row
-    per step), and at the final time (t_end, or the blow-up time), with the
-    running weighted sup  (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs}.
-    The negative-order history column is computed over k != 0: the forcing
-    injects mean, and on the torus the single zero mode is excluded rather
-    than letting it mask the decaying part.
+    Records a history row (t, L2, H^s, H^-gamma, max|u|) at t = 0, after each
+    accepted step that passes one of the 96 geometric targets in
+    [min(dt, t_end), t_end] (at most one row per step), and at the final time
+    (t_end, or the blow-up time); max|u| is the step's own reduction.  The
+    weighted sup (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs} is
+    the largest over the rows.  The negative-order column is computed over
+    k != 0: the forcing injects mean, and on the torus the single zero mode
+    is excluded rather than letting it mask the decaying part.
 
     ``observer(t, u_phys)``, when given, is called at t = 0 and after every
     accepted step with the current physical field (read-only view).
@@ -246,27 +243,18 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     ut = _forward_coeffs(config.eps * u1, grid)
     u_phys = _physical(u, grid)
 
-    times, l2s, hss, hnegs, maxes = [], [], [], [], []
-    weighted_sup = 0.0
+    rows = []
 
-    def record(t: float, coeffs: np.ndarray, phys: np.ndarray):
-        nonlocal weighted_sup
-        if times and t <= times[-1]:
-            return
-        l2, hs, hneg = weighted_norms(coeffs, weights)
-        times.append(t)
-        l2s.append(l2)
-        hss.append(hs)
-        hnegs.append(hneg)
-        maxes.append(float(np.max(np.abs(phys))))
-        weighted_sup = max(weighted_sup,
-                           (1.0 + t) ** (gamma / 2.0) * l2
-                           + (1.0 + t) ** ((s + gamma) / 2.0) * hs)
+    def record(t: float, coeffs: np.ndarray, peak: float):
+        if not rows or t > rows[-1][0]:
+            rows.append((t, *weighted_norms(coeffs, weights), peak))
 
-    record(0.0, u, u_phys)
+    max_cur = float(np.max(np.abs(u_phys)))
+    record(0.0, u, max_cur)
     if observer is not None:
         observer(0.0, u_phys)
-    sample_times = _record_times(config.dt, config.t_end, _HISTORY_SAMPLES)
+    sample_times = np.geomspace(min(config.dt, config.t_end), config.t_end,
+                                _HISTORY_SAMPLES)
     samples_passed = 0
 
     growth, quiet_ratio, cap_fraction = (2.0 ** _STEP_SCALE, 1.02 ** _STEP_SCALE,
@@ -274,7 +262,6 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     t = 0.0
     h = config.dt
     h_min = config.dt * _DT_MIN_RATIO
-    max_cur = float(np.max(np.abs(u_phys)))
     status = None
     blow_up_time = None
     streak = 0
@@ -307,24 +294,26 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             streak = 0
 
         if max_cur > config.theta:
-            record(t, u, u_phys)
+            record(t, u, max_cur)
             status = STATUS_BLOW_UP
             blow_up_time = t
             break
 
         passed = np.searchsorted(sample_times, t, side="right")
         if passed > samples_passed:
-            record(t, u, u_phys)
+            record(t, u, max_cur)
             samples_passed = passed
 
     if status is None:
         status = STATUS_COMPLETED
-        record(config.t_end, u, u_phys)
+        record(config.t_end, u, max_cur)
 
-    return RunResult(status=status, blow_up_time=blow_up_time,
-                     times=np.asarray(times), l2=np.asarray(l2s),
-                     hs=np.asarray(hss), hneg=np.asarray(hnegs),
-                     maxabs=np.asarray(maxes), weighted_sup=weighted_sup)
+    weighted_sup = max(0.0, *((1.0 + t) ** (gamma / 2.0) * l2
+                              + (1.0 + t) ** ((s + gamma) / 2.0) * hs
+                              for t, l2, hs, _, _ in rows))
+    times, l2, hs, hneg, maxabs = map(np.asarray, zip(*rows))
+    return RunResult(status=status, blow_up_time=blow_up_time, times=times, l2=l2,
+                     hs=hs, hneg=hneg, maxabs=maxabs, weighted_sup=weighted_sup)
 
 
 def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,

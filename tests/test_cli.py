@@ -497,6 +497,14 @@ class TestRunInputFailsFast:
                          "--s", "1", "--profile", "powerlaw:a=30")
         assert "not finite" in err
 
+    @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
+    def test_profile_values_overflow(self, capsys, tmp_path, command):
+        # r^-70 overflows near r = 1e-6, so the profile itself is refused; an
+        # overflow warning before the refusal would fail the test as an error
+        err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
+                         "--s", "1", "--profile", "powerlaw:a=70")
+        assert "profile values must be finite" in err
+
     # r^(2s+n) overflows at r = 1e3 once 2s + n passes 102.7, and the
     # unit-sphere area once n passes 343; an overflow warning would fail the
     # test as an error

@@ -284,6 +284,48 @@ class TestRun:
         assert result.times[0] == 0.0
         assert result.times[-1] == config.t_end
 
+    @pytest.mark.parametrize("eps, status", [(0.5, STATUS_COMPLETED),
+                                             (40.0, STATUS_BLOW_UP)])
+    def test_history_maxabs_is_the_observed_peak(self, eps, status):
+        # each row's max|u| is the reduction of the field the observer saw
+        # last at or before that row's time (the t_end row: the final field)
+        grid = small_grid()
+        data = gaussian(grid, grid.length / 40)
+        config = SolverConfig(p=2.0, eps=eps, dt=0.02, t_end=5.0)
+        seen_t, seen_peak = [], []
+
+        def observer(t, u_phys):
+            seen_t.append(t)
+            seen_peak.append(float(np.max(np.abs(u_phys))))
+
+        result = run(config, data, data, grid, 1.0, 0.5, observer=observer)
+        assert result.status == status
+        latest = np.searchsorted(seen_t, result.times, side="right") - 1
+        assert result.maxabs.tolist() == [seen_peak[i] for i in latest]
+
+    def test_weighted_sup_is_the_largest_over_rows(self):
+        grid = small_grid()
+        data = 0.1 * gaussian(grid, grid.length / 40)
+        s, gamma = 0.75, 0.5
+        config = SolverConfig(p=2.0, eps=0.5, dt=0.02, t_end=5.0)
+        result = run(config, data, data, grid, s, gamma)
+        expected = max((1.0 + t) ** (gamma / 2.0) * l2
+                       + (1.0 + t) ** ((s + gamma) / 2.0) * hs
+                       for t, l2, hs in zip(result.times.tolist(),
+                                            result.l2.tolist(), result.hs.tolist()))
+        assert result.weighted_sup == expected
+
+    @pytest.mark.parametrize("dt", [0.5, 2.0])
+    def test_step_beyond_horizon_records_both_ends(self, dt):
+        # dt >= t_end: the history targets lie within rounding of t_end, and
+        # the single step that reaches t_end is recorded once
+        grid = small_grid()
+        data = 0.1 * gaussian(grid, grid.length / 40)
+        config = SolverConfig(p=2.0, eps=0.5, dt=dt, t_end=0.5)
+        result = run(config, data, data, grid, 1.0, 0.5)
+        assert result.status == STATUS_COMPLETED
+        assert result.times.tolist() == [0.0, 0.5]
+
     def test_blow_up_and_monotone_lifespan(self):
         grid = GridSpec(dim=1, length=100 * np.pi, points=2048)
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
