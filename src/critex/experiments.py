@@ -34,8 +34,7 @@ from .exponents import (Regime, RegimeParams, classify_regime, conjugate_exponen
 from .fields import GridSpec, _radius_squared, make_initial_data
 from .radial import (DEFAULT_FIT_WINDOW, fit_rate, gaussian_profile,
                      power_law_profile)
-from .solver import (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW, SolverConfig,
-                     run)
+from .solver import SolverConfig, run
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +305,8 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Each signature is the experiment's only description: the CLI derives its
 # flags, defaults and --config keys from it, and each passes ``locals()``,
-# taken before any other local is bound, to ``_open_run``.  The rate suites,
-# the lifespan sweep and the phase diagram open theirs after computing, and
-# evolve after building its inputs, so bad input leaves no run directory.
+# taken before any other local is bound, to ``_open_run``.  Each opens its
+# run directory only after it has computed, so bad input leaves none.
 
 def _write_suite(kind: str, params: dict, fits: dict, rows: list,
                  **extra) -> tuple[Path, dict]:
@@ -371,13 +369,12 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
             stored.append(t)
             passed = count
 
-    run_dir = _open_run("evolve", params)
-
     started = time.perf_counter()
     result = run(solver_config, data, data, grid, s, gamma,
                  observer=keep if snapshots else None)
     wall = time.perf_counter() - started
 
+    run_dir = _open_run("evolve", params)
     write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
               zip(result.times, result.l2, result.hs, result.hneg, result.maxabs))
     report = {"status": result.status, "blow_up_time": result.blow_up_time,
@@ -435,6 +432,7 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
     if eps_factor == 1:
         raise DomainError("eps schedule must be strictly monotone geometric")
 
+    regime_params = RegimeParams(n=float(dim), gamma=gamma, s=s, p=p)
     pc = p_crit(float(dim), gamma)
     supercritical = p > pc
     if p == pc:
@@ -442,8 +440,7 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
             f"p = p_crit = {pc!r}: the critical case is outside the sweepable theory")
     predicted = None
     if not supercritical:
-        verdict = sharp_lifespan_admissible(RegimeParams(n=float(dim), gamma=gamma,
-                                                         s=s, p=p))
+        verdict = sharp_lifespan_admissible(regime_params)
         if not verdict.admissible:
             failed = [r.name for r in verdict.reasons if not r.passed]
             raise DomainError(
@@ -464,8 +461,7 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
     else:
         rows = list(map(point, configs))
 
-    blow_up = [row for row in rows
-               if row["status"] in (STATUS_BLOW_UP, STATUS_STEP_UNDERFLOW)]
+    blow_up = [row for row in rows if np.isfinite(row["lifespan"])]
     report = {"rows": rows, "predicted_slope": predicted, "fitted_slope": None,
               "intercept": None, "relative_deviation": None, "refused": True,
               "regime": "Mixed" if blow_up else Regime.GLOBAL_EXISTENCE.value}

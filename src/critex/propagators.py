@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
 
@@ -48,13 +49,6 @@ _TAYLOR_TERMS = 30
 _PHI_TERMS = 20
 _PHI1_COEFFS = np.array([1.0 / math.factorial(j + 1) for j in range(_PHI_TERMS)])
 _PHI2_COEFFS = np.array([1.0 / math.factorial(j + 2) for j in range(_PHI_TERMS)])
-
-
-def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * z + c
-    return out
 
 
 def kernel_entries(t: float, r: np.ndarray | float):
@@ -76,8 +70,8 @@ def kernel_entries(t: float, r: np.ndarray | float):
     if np.any(near):
         zn = z[near]
         envelope = math.exp(-0.5 * t)
-        g = _series(_G_COEFFS, zn)
-        h = _series(_H_COEFFS, zn)
+        g = polyval(zn, _G_COEFFS)
+        h = polyval(zn, _H_COEFFS)
         k01[near] = envelope * t * g
         k00[near] = envelope * (h + 0.5 * t * g)
         k11[near] = envelope * (h - 0.5 * t * g)
@@ -113,8 +107,8 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi1 = np.empty_like(z)
     phi2 = np.empty_like(z)
     small = np.abs(z) < 1.0
-    phi1[small] = _series(_PHI1_COEFFS, z[small])
-    phi2[small] = _series(_PHI2_COEFFS, z[small])
+    phi1[small] = polyval(z[small], _PHI1_COEFFS)
+    phi2[small] = polyval(z[small], _PHI2_COEFFS)
     big = z[~small]
     em1 = np.expm1(big)
     phi1[~small] = em1 / big

@@ -28,9 +28,10 @@ insensitive to theta over many orders of magnitude.  One scale lambda
 grows by more than 2^lambda in one step, and double, up to lambda t/16, on
 the first quiet step once _REGROWTH_STREAK steps were accepted since the
 last halving or doubling.  The lifespan's step bias is second order in lambda.
-Running out of step size (StepUnderflow) is reported separately but counted
-as blow-up by lifespan sweeps, since gradient steepening beyond resolvable
-steps is numerically indistinguishable from divergence.
+Running out of step size (StepUnderflow) is reported separately but has a
+finite lifespan, so lifespan sweeps count it as blow-up: gradient
+steepening beyond resolvable steps is numerically indistinguishable from
+divergence.
 """
 
 from __future__ import annotations
@@ -220,11 +221,13 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     Records a history row (t, L2, H^s, H^-gamma, max|u|) at t = 0, after each
     accepted step that passes one of the 96 geometric targets in
     [min(dt, t_end), t_end] (at most one row per step), and at the final time
-    (t_end, or the blow-up time); max|u| is the step's own reduction.  The
-    weighted sup (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs} is
-    the largest over the rows.  The negative-order column is computed over
-    k != 0: the forcing injects mean, and on the torus the single zero mode
-    is excluded rather than letting it mask the decaying part.
+    whatever the status: t_end, or the blow-up time, which is the last
+    accepted step for BlowUp and StepUnderflow alike; max|u| is the step's
+    own reduction.  The weighted sup (1+t)^{gamma/2} |u|_{L2} +
+    (1+t)^{(s+gamma)/2} |u|_{Hs} is the largest over the rows.  The
+    negative-order column is computed over k != 0: the forcing injects mean,
+    and on the torus the single zero mode is excluded rather than letting it
+    mask the decaying part.
 
     ``observer(t, u_phys)``, when given, is called at t = 0 and after every
     accepted step with the current physical field (read-only view).
@@ -262,8 +265,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     t = 0.0
     h = config.dt
     h_min = config.dt * _DT_MIN_RATIO
-    status = None
-    blow_up_time = None
+    status = STATUS_COMPLETED
     streak = 0
 
     while t < config.t_end * (1.0 - 1e-12):
@@ -271,14 +273,12 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         u_new, ut_new, u_new_phys, max_new = _step_arrays(
             u, ut, u_phys, h_try, config.p, grid)
 
-        finite = math.isfinite(max_new) and np.isfinite(ut_new).all()
-        grew_too_fast = finite and max_cur > 0 and max_new > growth * max_cur
-        if not finite or grew_too_fast:
+        if not (math.isfinite(max_new) and np.isfinite(ut_new).all()) \
+                or (max_cur > 0 and max_new > growth * max_cur):
             h = 0.5 * h_try
             streak = 0
             if h < h_min:
                 status = STATUS_STEP_UNDERFLOW
-                blow_up_time = t
                 break
             continue
 
@@ -294,9 +294,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             streak = 0
 
         if max_cur > config.theta:
-            record(t, u, max_cur)
             status = STATUS_BLOW_UP
-            blow_up_time = t
             break
 
         passed = np.searchsorted(sample_times, t, side="right")
@@ -304,9 +302,9 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             record(t, u, max_cur)
             samples_passed = passed
 
-    if status is None:
-        status = STATUS_COMPLETED
-        record(config.t_end, u, max_cur)
+    completed = status == STATUS_COMPLETED
+    record(config.t_end if completed else t, u, max_cur)
+    blow_up_time = None if completed else t
 
     weighted_sup = max(0.0, *((1.0 + t) ** (gamma / 2.0) * l2
                               + (1.0 + t) ** ((s + gamma) / 2.0) * hs

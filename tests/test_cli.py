@@ -382,6 +382,8 @@ class TestRunInputFailsFast:
         ("--eps", "-1", "data size eps must be nonnegative"),
         ("--dt", "-0.1", "initial step must be positive"),
         ("--N", "100", "points per axis must be a power of two"),
+        ("--s", "2", "regularity s must lie in (0, 1], got 2.0"),
+        ("--s", "0", "regularity s must lie in (0, 1], got 0.0"),
     ])
     def test_evolve_bad_input(self, capsys, tmp_path, flag, value, message):
         err = self.fails(capsys, tmp_path, *EVOLVE_FLAGS, flag, value)
@@ -420,6 +422,19 @@ class TestRunInputFailsFast:
                          "--eps-start", "1", "--N", "256", "--L", "50",
                          "--dt", "-1", "--workers", "2")
         assert "initial step must be positive" in err
+
+    def test_supercritical_lifespan_bad_s_before_worker_pool(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # supercritical sweeps skip the admissibility check, not the s check
+        def no_pool(*args, **kwargs):
+            raise AssertionError("worker pool started before validation")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
+                         "--gamma", "0.5", "--s", "2", "--p", "5",
+                         "--eps-start", "1", "--N", "256", "--L", "50",
+                         "--workers", "2")
+        assert "regularity s must lie in (0, 1], got 2.0" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_lifespan_bad_workers(self, capsys, tmp_path, workers):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -359,6 +360,40 @@ class TestRun:
         result = run(config, data, data, grid, 1.0, 0.5)
         assert result.status == STATUS_STEP_UNDERFLOW
         assert result.lifespan == result.blow_up_time
+
+    def test_step_underflow_records_the_final_row(self, monkeypatch):
+        # the run stops at its last accepted step, and the history ends there
+        # with that step's own field, as it does for BlowUp
+        monkeypatch.setattr(solver, "_STEP_SCALE", 1e-12)
+        monkeypatch.setattr(solver, "_DT_MIN_RATIO", 1e-6)
+        grid = small_grid(points=64)
+        u0 = gaussian(grid, grid.length / 10)
+        config = SolverConfig(p=2.0, eps=0.3, dt=0.1, t_end=10.0)
+        seen_t, seen_peak = [], []
+
+        def observer(t, u_phys):
+            seen_t.append(t)
+            seen_peak.append(float(np.max(np.abs(u_phys))))
+
+        result = run(config, u0, -u0, grid, 1.0, 0.5, observer=observer)
+        assert result.status == STATUS_STEP_UNDERFLOW
+        assert result.blow_up_time == seen_t[-1] < config.t_end
+        assert result.times[-1] == result.blow_up_time
+        assert result.maxabs[-1] == seen_peak[-1]
+        assert np.all(np.diff(result.times) > 0)
+
+    @pytest.mark.parametrize("s, gamma, message", [
+        (0.0, 0.5, "regularity s must lie in (0, 1]"),
+        (1.5, 0.5, "regularity s must lie in (0, 1]"),
+        (1.0, 0.0, "gamma must be positive"),
+        (1.0, -0.5, "gamma must be positive"),
+    ])
+    def test_rejects_bad_norm_orders(self, s, gamma, message):
+        grid = small_grid()
+        data = gaussian(grid, grid.length / 40)
+        config = SolverConfig(p=2.0, eps=0.5, dt=0.1, t_end=1.0)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            run(config, data, data, grid, s, gamma)
 
     def test_shape_mismatch(self):
         grid = small_grid()
