@@ -18,8 +18,8 @@ from .fields import (GridSpec, SpectrumField, make_initial_data, transform_forwa
                      transform_inverse)
 from .propagators import forcing_weights, heat_multiplier, kernel_entries
 from .radial import (RadialProfile, diffusion_difference, evolve_damped,
-                     evolve_heat, fit_rate, gaussian_profile, log_radial_grid,
-                     norm_radial, power_law_profile)
+                     evolve_heat, fit_rate, log_radial_grid, norm_radial,
+                     power_law_profile)
 from .solver import RunResult, SolverConfig, State, nonlinearity, run, step
 
 __version__ = "0.1.0"

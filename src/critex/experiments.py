@@ -16,6 +16,7 @@ environment variable, ``./runs``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -32,8 +33,7 @@ from .errors import ContractError, CritexError, DomainError, InsufficientDataErr
 from .exponents import (Regime, RegimeParams, classify_regime, conjugate_exponent,
                         lifespan_exponent, p_crit, sharp_lifespan_admissible)
 from .fields import GridSpec, _radius_squared, make_initial_data
-from .radial import (DEFAULT_FIT_WINDOW, fit_rate, gaussian_profile,
-                     power_law_profile)
+from .radial import DEFAULT_FIT_WINDOW, fit_rate, power_law_profile
 from .solver import SolverConfig, run
 
 
@@ -50,11 +50,13 @@ def _open_run(kind: str, params: dict) -> Path:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
     base = root / f"{stamp}-{kind}"
     path = base
-    counter = 1
-    while path.exists():
-        counter += 1
-        path = Path(f"{base}-{counter}")
-    path.mkdir(parents=True)
+    root.mkdir(parents=True, exist_ok=True)
+    for counter in itertools.count(2):
+        try:
+            path.mkdir()  # atomic: a run that took the name raises here
+            break
+        except FileExistsError:
+            path = Path(f"{base}-{counter}")
     write_json(path / "config.json", config)
     return path
 
@@ -81,22 +83,17 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def build_profile(spec: str, n: float) -> radial.RadialProfile:
-    """``powerlaw:a=<a>`` (v_hat = r^-a) or ``gaussian[:w=<w>]`` (w = 1 by default)."""
+    """``powerlaw:a=<a>``: v_hat = r^-a on (0, 1], zero beyond."""
     kind, _, tail = spec.partition(":")
-    params = {}
-    for item in tail.split(",") if tail else ():
-        key, _, value = item.partition("=")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise DomainError(f"profile parameter {item!r} in {spec!r} is not "
-                              "<key>=<number>") from None
-    kind = kind.strip()
-    if kind == "powerlaw" and set(params) == {"a"}:
-        return power_law_profile(n, params["a"])
-    if kind == "gaussian" and set(params) <= {"w"}:
-        return gaussian_profile(n, params.get("w", 1.0))
-    raise DomainError(f"profile {spec!r} is neither powerlaw:a=<a> nor gaussian[:w=<w>]")
+    key, _, value = tail.partition("=")
+    if kind.strip() != "powerlaw" or key.strip() != "a" or "," in value:
+        raise DomainError(f"profile {spec!r} is not powerlaw:a=<a>")
+    try:
+        a = float(value)
+    except ValueError:
+        raise DomainError(f"profile parameter {tail!r} in {spec!r} is not "
+                          "<key>=<number>") from None
+    return power_law_profile(n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def _rate_suite(n: float, gamma: float, profile: str, t0: float, t1: float,
     times = np.geomspace(t0, t1, points)
     for order in dict.fromkeys(x for c in curves.values() for x in (c[1], -gamma)):
         radial.norm_radial(v0, order)
-    norms = {key: getattr(radial, _CURVES[kind])(v0, None, times, order)
+    norms = {key: getattr(radial, _CURVES[kind])(v0, times, order)
              for key, (kind, order, _) in curves.items()}
     fits = {key: {**fit_rate(times, norms[key], window), "predicted_rate": rate}
             for key, (_, _, rate) in curves.items()}
@@ -293,10 +290,12 @@ def emit_phase_diagram(n: float, s: float, gamma_grid, p_grid) -> list[dict]:
         for p in p_grid:
             verdict = classify_regime(RegimeParams(n=n, gamma=float(gamma), s=s,
                                                    p=float(p)))
-            pc, _, gt, lower, cap = (r.rhs for r in verdict.reasons)
+            rhs = {r.name: r.rhs for r in verdict.reasons}
             rows.append({"gamma": float(gamma), "p": float(p),
-                         "regime": verdict.regime.value, "p_crit": pc,
-                         "p_lower": lower, "p_cap": cap, "gamma_tilde": gt})
+                         "regime": verdict.regime.value, "p_crit": rhs["p > p_crit"],
+                         "p_lower": rhs["p >= 1 + 2*gamma/n"],
+                         "p_cap": rhs["p <= n/(n - 2s)"],
+                         "gamma_tilde": rhs["gamma <= gamma_tilde"]})
     return rows
 
 

@@ -68,9 +68,6 @@ class RadialProfile:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray) -> "RadialProfile":
-        return RadialProfile(self.dim, self.r, values)
-
 
 def power_law_profile(dim: float, exponent: float,
                       r: np.ndarray | None = None) -> RadialProfile:
@@ -79,13 +76,6 @@ def power_law_profile(dim: float, exponent: float,
     with np.errstate(over="ignore"):
         values = np.where(r <= 1.0, r ** (-exponent), 0.0)
     return RadialProfile(dim, r, values)
-
-
-def gaussian_profile(dim: float, width: float = 1.0,
-                     r: np.ndarray | None = None) -> RadialProfile:
-    """v_hat(r) = exp(-(width * r)^2)."""
-    r = log_radial_grid() if r is None else np.asarray(r, dtype=float)
-    return RadialProfile(dim, r, np.exp(-(width * r) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +123,10 @@ def norm_radial(profile: RadialProfile, s: float) -> float:
 # evolutions
 # ---------------------------------------------------------------------------
 
-# Process-wide memo of the multipliers k00(t, r), k01(t, r) and e^{-r^2 t} on
-# one radial grid, keyed by name and the exact float t: every rate suite
-# samples the same times on the same grid.  k01 is formed only for velocity
-# data.  Least recently used arrays go first past the budget (256 at
-# DEFAULT_POINTS, so a diffusion suite's 2 x 96 fit); all read-only.
+# Process-wide memo of the multipliers k00(t, r) and e^{-r^2 t} on one radial
+# grid, keyed by name and the exact float t: every rate suite samples the same
+# times on the same grid.  Least recently used arrays go first past the budget
+# (256 at DEFAULT_POINTS, so a diffusion suite's 2 x 96 fit); all read-only.
 _MEMO_BUDGET_BYTES = 8 * 1024 * 1024
 _memo_grid = np.empty(0)
 _memo: dict[tuple[str, float], np.ndarray] = {}
@@ -147,7 +136,7 @@ def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
     multiplier = _memo.pop((name, t), None)
     if multiplier is None:
         multiplier = heat_multiplier(t, r) if name == "heat" else \
-            kernel_entries(t, r)[0 if name == "k00" else 1]
+            kernel_entries(t, r)[0]
         multiplier.flags.writeable = False
     _memo[name, t] = multiplier
     while len(_memo) * multiplier.nbytes > _MEMO_BUDGET_BYTES:
@@ -155,53 +144,44 @@ def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
     return multiplier
 
 
-def _curve(kind: str, v0: RadialProfile, v1: RadialProfile | None,
-           times: np.ndarray, s: float) -> np.ndarray:
-    """Order-s norms at ``times`` of the linear flow ``kind`` of the pair
-    (v0, v1); ``v1=None`` is zero velocity data."""
+def _curve(kind: str, v0: RadialProfile, times: np.ndarray, s: float) -> np.ndarray:
+    """Order-s norms at ``times`` of the linear flow ``kind`` of the data v0
+    with zero velocity data."""
     global _memo_grid
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not (np.diff(times) > 0).all():
         raise ContractError("times must be a 1-d strictly increasing array")
-    if v1 is not None and (v0.dim != v1.dim or v0.r.shape != v1.r.shape
-                           or not np.array_equal(v0.r, v1.r)):
-        raise ContractError("profiles must share dimension and radial grid")
     weight, steps, sigma = _measure(v0, s)
     if not np.array_equal(_memo_grid, v0.r):
         _memo.clear()
         _memo_grid = v0.r.copy()
     norms = np.empty_like(times)
-    a, b = v0.values, None if v1 is None else v1.values
     # an overflow gives a non-finite sum, which _plancherel rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(times.tolist()):
             if kind != "heat":
-                flow = _multiplier("k00", t, v0.r) * a
-                if b is not None:
-                    flow += _multiplier("k01", t, v0.r) * b
+                flow = _multiplier("k00", t, v0.r) * v0.values
             if kind != "damped":
-                heat_flow = _multiplier("heat", t, v0.r) * (a if b is None else a + b)
+                heat_flow = _multiplier("heat", t, v0.r) * v0.values
                 flow = heat_flow if kind == "heat" else flow - heat_flow
             norms[i] = _plancherel(flow, weight, steps, sigma)
     return norms
 
 
-def evolve_damped(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
-                  s: float) -> np.ndarray:
-    """Damped-wave norm history: v_hat(t) = k00(t, r) v0 + k01(t, r) v1."""
-    return _curve("damped", v0, v1, times, s)
+def evolve_damped(v0: RadialProfile, times: np.ndarray, s: float) -> np.ndarray:
+    """Damped-wave norm history of zero velocity data: v_hat(t) = k00(t, r) v0."""
+    return _curve("damped", v0, times, s)
 
 
-def evolve_heat(v0: RadialProfile, v1: RadialProfile | None, times: np.ndarray,
-                s: float) -> np.ndarray:
-    """Heat-flow norm history with merged data: w_hat(t) = e^{-r^2 t}(v0 + v1)."""
-    return _curve("heat", v0, v1, times, s)
+def evolve_heat(v0: RadialProfile, times: np.ndarray, s: float) -> np.ndarray:
+    """Heat-flow norm history: w_hat(t) = e^{-r^2 t} v0."""
+    return _curve("heat", v0, times, s)
 
 
-def diffusion_difference(v0: RadialProfile, v1: RadialProfile | None,
-                         times: np.ndarray, s: float) -> np.ndarray:
+def diffusion_difference(v0: RadialProfile, times: np.ndarray,
+                         s: float) -> np.ndarray:
     """Norm history of the damped-wave/heat difference (the parabolic gain)."""
-    return _curve("difference", v0, v1, times, s)
+    return _curve("difference", v0, times, s)
 
 
 # ---------------------------------------------------------------------------

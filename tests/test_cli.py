@@ -343,7 +343,8 @@ class TestRunInputFailsFast:
         return err
 
     @pytest.mark.parametrize("spec", ["powerlaw", "powerlaw:a=x",
-                                      "powerlaw:a=0.2,b=3", "gaussian:x=3"])
+                                      "powerlaw:a=0.2,b=3", "gaussian:x=3",
+                                      "gaussian"])
     @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
     def test_bad_profile(self, capsys, tmp_path, command, spec):
         err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
@@ -493,7 +494,7 @@ class TestRunInputFailsFast:
     @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
     def test_rate_suite_bad_samples(self, capsys, tmp_path, command, flag, value):
         err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
-                         "--s", "1", "--profile", "gaussian", flag, value)
+                         "--s", "1", "--profile", "powerlaw:a=0.25", flag, value)
         assert "points >= 1 and t0 > 0" in err
 
     @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
@@ -569,7 +570,8 @@ class TestNonFiniteInput:
     error line, no run directory."""
 
     VALID = {
-        "linear-decay": {"n": 2.0, "gamma": 0.7, "s": 1.0, "profile": "gaussian"},
+        "linear-decay": {"n": 2.0, "gamma": 0.7, "s": 1.0,
+                         "profile": "powerlaw:a=0.25"},
         "evolve": {"dim": 1, "p": 2.0, "gamma": 0.5, "tend": 1.0, "N": 256,
                    "eps": 0.05},
         "phase-diagram": {"n": 1.0, "s": 1.0, "gamma_min": 0.1, "gamma_max": 0.4,

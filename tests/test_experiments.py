@@ -1,6 +1,7 @@
 import json
 import math
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,6 @@ class TestProfiles:
         powerlaw = build_profile("powerlaw:a=0.25", 2)
         np.testing.assert_array_equal(
             powerlaw.values, radial.power_law_profile(2, 0.25).values)
-        gaussian = build_profile("gaussian:w=2.0", 2)
-        np.testing.assert_array_equal(
-            gaussian.values, radial.gaussian_profile(2, 2.0).values)
         with pytest.raises(DomainError, match="is not <key>=<number>"):
             build_profile("powerlaw:a", 2)
         with pytest.raises(DomainError):
@@ -39,17 +37,15 @@ class TestProfiles:
         assert profile.dim == 2
         assert profile.values[0] == pytest.approx(profile.r[0] ** -0.25)
 
-    def test_gaussian_width_defaults_to_one(self):
-        default = build_profile("gaussian", 2)
-        np.testing.assert_array_equal(default.values,
-                                      build_profile("gaussian:w=1", 2).values)
-
     @pytest.mark.parametrize("spec, message", [
-        ("powerlaw", "neither powerlaw:a=<a> nor"),
+        ("powerlaw", "is not powerlaw:a=<a>"),
         ("powerlaw:a=x", "is not <key>=<number>"),
-        ("powerlaw:a=0.2,b=3", "neither powerlaw:a=<a> nor"),
-        ("gaussian:x=3", "neither powerlaw:a=<a> nor"),
-    ], ids=["missing-a", "non-numeric", "unknown-key-b", "unknown-key-x"])
+        ("powerlaw:a=0.2,b=3", "is not powerlaw:a=<a>"),
+        ("gaussian:x=3", "is not powerlaw:a=<a>"),
+        ("gaussian", "is not powerlaw:a=<a>"),
+        ("gaussian:w=1", "is not powerlaw:a=<a>"),
+    ], ids=["missing-a", "non-numeric", "unknown-key-b", "unknown-key-x",
+            "gaussian", "gaussian-w"])
     def test_bad_spec_rejected(self, spec, message):
         with pytest.raises(DomainError, match=message):
             build_profile(spec, 2)
@@ -256,6 +252,19 @@ class TestPhaseDiagram:
             assert row["p_lower"] == pytest.approx(1 + 2 * row["gamma"] / 3, abs=1e-15)
             assert row["p_cap"] == pytest.approx(3.0, abs=1e-15)
 
+    def test_thresholds_are_read_by_name(self, monkeypatch):
+        # the columns must not depend on the order of classify_regime's reasons
+        grids = (np.linspace(0.2, 1.3, 4), np.linspace(1.3, 4.5, 5))
+        expected = emit_phase_diagram(3, 1.0, *grids)
+        classify = experiments.classify_regime
+
+        def reversed_reasons(params):
+            verdict = classify(params)
+            return verdict._replace(reasons=verdict.reasons[::-1])
+
+        monkeypatch.setattr(experiments, "classify_regime", reversed_reasons)
+        assert emit_phase_diagram(3, 1.0, *grids) == expected
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             emit_phase_diagram(2, 1.0, [1.5], [2.0])
@@ -429,6 +438,27 @@ class TestRunDirectories:
         assert lines[0] == "gamma,p,regime,p_crit,p_lower,p_cap,gamma_tilde"
         assert len(lines) == 1 + 4 * 5
         assert report["cells"] == 20
+
+    def test_name_taken_after_the_check_goes_to_the_next(self, tmp_path,
+                                                        monkeypatch):
+        # another run of the same kind creates the first candidate in the
+        # same second, just before this run's mkdir
+        mkdir, raced = Path.mkdir, []
+
+        def racing_mkdir(self, *args, **kwargs):
+            if self.name.endswith("-phase-diagram") and not raced:
+                raced.append(self)
+                mkdir(self, parents=True)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        run_dir, _ = experiment_phase_diagram(
+            n=1, s=1.0, gamma_min=0.1, gamma_max=0.3, gamma_steps=2,
+            p_min=2.0, p_max=4.0, p_steps=2, out=str(tmp_path))
+        (first,) = raced
+        assert run_dir == Path(f"{first}-2")
+        assert list(first.iterdir()) == []
+        assert (run_dir / "report.json").exists()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRITEX_OUT", str(tmp_path / "env_runs"))

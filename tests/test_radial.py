@@ -3,13 +3,18 @@ import pytest
 from scipy.integrate import quad
 
 from critex import (AccuracyError, ContractError, DomainError, RadialProfile, diffusion_difference, evolve_damped,
-                    evolve_heat, fit_rate, gaussian_profile, heat_multiplier,
-                    kernel_entries, log_radial_grid, norm_radial,
-                    power_law_profile)
+                    evolve_heat, fit_rate, heat_multiplier, kernel_entries,
+                    log_radial_grid, norm_radial, power_law_profile)
 from critex import propagators, radial
 from critex.errors import InsufficientDataError
 from critex.experiments import run_decay_suite, run_diffusion_suite
 from critex.radial import DEFAULT_POINTS, sphere_surface
+
+
+def gaussian(n, width=1.0, r=None):
+    """v_hat(r) = exp(-(width * r)^2): smooth data, for the oracles below."""
+    r = log_radial_grid() if r is None else r
+    return RadialProfile(n, r, np.exp(-(width * r) ** 2))
 
 
 def heat_norm_oracle(t, n, a, s=0.0):
@@ -17,6 +22,14 @@ def heat_norm_oracle(t, n, a, s=0.0):
     integrand = lambda r: np.exp(-2 * r * r * t) * r ** (2 * s + n - 1 - 2 * a)
     value, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
     return np.sqrt(sphere_surface(n) * value)
+
+
+def flow_oracle(kind, t, v0):
+    """The linear flow ``kind`` of v0 at time t, from a fresh kernel."""
+    damped = kernel_entries(t, v0.r)[0] * v0.values
+    heat = heat_multiplier(t, v0.r) * v0.values
+    flow = {"damped": damped, "heat": heat, "difference": damped - heat}[kind]
+    return RadialProfile(v0.dim, v0.r, flow)
 
 
 class TestNormRadial:
@@ -32,7 +45,7 @@ class TestNormRadial:
 
     def test_gaussian_n1_against_quadrature(self):
         # oracle over the represented range [r_min, r_max]
-        profile = gaussian_profile(1, 1.0)
+        profile = gaussian(1, 1.0)
         integrand = lambda r: np.exp(-2 * r * r)
         value, _ = quad(integrand, 1e-6, 50.0, epsabs=0.0, epsrel=1e-12)
         expected = np.sqrt(sphere_surface(1) * value)
@@ -63,7 +76,7 @@ class TestNormRadial:
         # r^(2s+n) overflows at r = 1e3, or at r = 1e-6 for a steep negative
         # order; a NaN norm must not come back
         with pytest.raises(DomainError, match="overflows"):
-            norm_radial(gaussian_profile(n), s)
+            norm_radial(gaussian(n), s)
 
     @staticmethod
     def trapezoid_norm(values, r, s, n):
@@ -121,64 +134,55 @@ class TestSphereSurface:
 
 
 class TestHeatEvolution:
-    def test_initial_norm_is_merged_data(self):
-        v0 = power_law_profile(2, 0.25)
-        v1 = v0.with_values(0.5 * v0.values)
-        norms = evolve_heat(v0, v1, np.array([1e-12, 1.0]), 0.0)
-        merged = v0.with_values(v0.values + v1.values)
-        assert norms[0] == pytest.approx(norm_radial(merged, 0.0), rel=1e-9)
-
     def test_matches_quadrature_oracle(self):
         # power-law data: a = n/2 - gamma - 0.05, n = 2, gamma = 0.7
         n, gamma = 2, 0.7
         a = n / 2 - gamma - 0.05
         v0 = power_law_profile(n, a)
-        v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 25)
-        norms = evolve_heat(v0, v1, times, 0.0)
+        norms = evolve_heat(v0, times, 0.0)
         for t, norm in zip(times, norms):
             assert norm == pytest.approx(heat_norm_oracle(t, n, a), rel=1e-6)
 
     def test_gaussian_closed_form(self):
         # w_hat = e^{-r^2 (t+1)}: L2 norm = (pi/2)^(1/2) (1+t)^(-1/2) in n = 2
-        v0 = gaussian_profile(2, 1.0)
-        v1 = v0.with_values(np.zeros_like(v0.values))
+        v0 = gaussian(2, 1.0)
         times = np.geomspace(1.0, 1e4, 20)
-        norms = evolve_heat(v0, v1, times, 0.0)
+        norms = evolve_heat(v0, times, 0.0)
         expected = np.sqrt(np.pi / 2) / np.sqrt(1.0 + times)
         np.testing.assert_allclose(norms, expected, rtol=1e-6)
 
     def test_rejects_nonfinite_flow(self):
-        # finite data whose heat flow v0 + v1 overflows at t = 0
+        # finite data whose heat flow's square overflows at t = 0
         r = log_radial_grid(points=64)
         big = RadialProfile(2, r, np.full(64, 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
-            evolve_heat(big, big, np.array([0.0]), 0.0)
+            evolve_heat(big, np.array([0.0]), 0.0)
 
 
 class TestDampedEvolution:
     def test_identity_at_zero(self):
         v0 = power_law_profile(2, 0.25)
-        v1 = v0.with_values(np.zeros_like(v0.values))
-        norms = evolve_damped(v0, v1, np.array([0.0, 1.0]), 0.0)
+        norms = evolve_damped(v0, np.array([0.0, 1.0]), 0.0)
         assert norms[0] == pytest.approx(norm_radial(v0, 0.0), rel=1e-12)
 
     def test_velocity_data_slope(self):
-        # v0 = 0, v1 = indicator: late-time L2 slope -1/2 in n = 2
+        # v0 = 0, v1 = indicator: the flow k01 v1 has late-time L2 slope -1/2
+        # in n = 2; k01 drives the grid solver, which the radial lab never runs
         v1 = power_law_profile(2, 0.0)
-        v0 = v1.with_values(np.zeros_like(v1.values))
         times = np.geomspace(1.0, 1e4, 60)
-        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), (1e2, 1e4))
+        flows = (kernel_entries(t, v1.r)[1] * v1.values for t in times)
+        norms = [norm_radial(RadialProfile(2, v1.r, flow), 0.0) for flow in flows]
+        fit = fit_rate(times, np.array(norms), (1e2, 1e4))
         assert fit["slope"] == pytest.approx(-0.5, abs=0.02)
 
     def test_powerlaw_family_slope(self):
         n, gamma = 2, 0.7
         a = n / 2 - gamma - 0.05
         v0 = power_law_profile(n, a)
-        v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 60)
-        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), (1e2, 1e4))
+        fit = fit_rate(times, evolve_damped(v0, times, 0.0), (1e2, 1e4))
         assert fit["slope"] == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
 
     def test_sharpness_ladder_monotone(self):
@@ -188,45 +192,27 @@ class TestDampedEvolution:
         times = np.geomspace(10.0, 1e4, 48)
         for margin in (0.25, 0.2, 0.15, 0.1, 0.05):
             v0 = power_law_profile(n, n / 2 - gamma - margin)
-            v1 = v0.with_values(np.zeros_like(v0.values))
-            fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0),
-                           (1e2, 1e4))
+            fit = fit_rate(times, evolve_damped(v0, times, 0.0), (1e2, 1e4))
             slopes.append(fit["slope"])
         assert all(b > a for a, b in zip(slopes, slopes[1:]))
         assert slopes[-1] == pytest.approx(-(gamma + 0.05) / 2, abs=0.03)
 
     def test_rejects_nonfinite_flow(self):
-        # finite data whose integrand already overflows; k00 a + k01 b
-        # overflows too by t = 10, and that is a contract error
+        # finite data whose integrand already overflows at t = 0, and that
+        # is a contract error
         r = log_radial_grid(points=64)
         big = RadialProfile(2, r, np.where(r <= 1.0, 1e308, 0.0))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
-            evolve_damped(big, big, np.array([0.0, 10.0]), 0.0)
-
-    def test_grid_mismatch(self):
-        v0 = power_law_profile(2, 0.25)
-        other = power_law_profile(2, 0.25, r=log_radial_grid(points=128))
-        with pytest.raises(ContractError):
-            evolve_damped(v0, other, np.array([1.0]), 0.0)
+            evolve_damped(big, np.array([0.0, 10.0]), 0.0)
 
 
 class TestDiffusionDifference:
     def test_zero_when_data_matches(self):
-        # v1 = 0 and t = 0: damped equals heat exactly
+        # t = 0: damped equals heat exactly
         v0 = power_law_profile(2, 0.25)
-        v1 = v0.with_values(np.zeros_like(v0.values))
-        norms = diffusion_difference(v0, v1, np.array([0.0, 1.0]), 0.0)
+        norms = diffusion_difference(v0, np.array([0.0, 1.0]), 0.0)
         assert norms[0] == 0.0
-
-    def test_antisymmetric_data_reduces_to_damped(self):
-        # v1 = -v0 makes the heat data vanish: difference curve == damped curve
-        v0 = power_law_profile(2, 0.25)
-        v1 = v0.with_values(-v0.values)
-        times = np.geomspace(1.0, 100.0, 12)
-        diff = diffusion_difference(v0, v1, times, 0.0)
-        damped = evolve_damped(v0, v1, times, 0.0)
-        np.testing.assert_allclose(diff, damped, rtol=1e-12)
 
     def test_gain_window(self):
         n = 2
@@ -235,20 +221,17 @@ class TestDiffusionDifference:
             for s in (0.0, 1.0):
                 a = n / 2 - gamma - 0.05
                 v0 = power_law_profile(n, a)
-                v1 = v0.with_values(np.zeros_like(v0.values))
-                damped = fit_rate(times, evolve_damped(v0, v1, times, s),
-                                  (1e2, 1e4))
-                diff = fit_rate(times, diffusion_difference(v0, v1, times, s),
+                damped = fit_rate(times, evolve_damped(v0, times, s), (1e2, 1e4))
+                diff = fit_rate(times, diffusion_difference(v0, times, s),
                                 (1e2, 1e4))
                 gain = diff["slope"] - damped["slope"]
                 assert -1.3 <= gain <= -0.85, (s, gamma, gain)
 
     def test_ratio_decreases(self):
         v0 = power_law_profile(2, 0.25)
-        v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 24)
-        damped = evolve_damped(v0, v1, times, 0.0)
-        diff = diffusion_difference(v0, v1, times, 0.0)
+        damped = evolve_damped(v0, times, 0.0)
+        diff = diffusion_difference(v0, times, 0.0)
         ratio = diff / damped
         assert all(b < a for a, b in zip(ratio, ratio[1:]))
 
@@ -257,23 +240,14 @@ class TestCompositionPinned:
     """Each curve equals a per-time composition of the kernel entries and the
     heat multiplier to the last bit."""
 
-    @staticmethod
-    def oracle(kind, t, v0, v1):
-        k00, k01, _, _ = kernel_entries(t, v0.r)
-        damped = k00 * v0.values + k01 * v1.values
-        heat = heat_multiplier(t, v0.r) * (v0.values + v1.values)
-        return {"damped": damped, "heat": heat, "difference": damped - heat}[kind]
-
     @pytest.mark.parametrize("kind, evolve", [("damped", evolve_damped),
                                               ("heat", evolve_heat),
                                               ("difference", diffusion_difference)])
     def test_curve(self, kind, evolve):
         v0 = power_law_profile(2, 0.25)
-        v1 = gaussian_profile(2, 3.0)
         times = np.array([0.0, 0.5, 3.0, 40.0, 900.0])
-        norms = evolve(v0, v1, times, 1.0)
-        expected = [norm_radial(v0.with_values(self.oracle(kind, float(t), v0, v1)), 1.0)
-                    for t in times]
+        norms = evolve(v0, times, 1.0)
+        expected = [norm_radial(flow_oracle(kind, float(t), v0), 1.0) for t in times]
         assert norms.dtype == np.float64
         assert norms.shape == times.shape
         np.testing.assert_array_equal(norms, expected)
@@ -335,21 +309,19 @@ class TestDimensionKnob:
             grid_fit = fit_rate(times, np.array(norms), window)
 
             v0 = power_law_profile(float(dim), 0.25)
-            v1 = v0.with_values(np.zeros_like(v0.values))
-            lab_fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), window)
+            lab_fit = fit_rate(times, evolve_damped(v0, times, 0.0), window)
             assert abs(grid_fit["slope"] - lab_fit["slope"]) < 0.05, dim
 
     def test_non_integer_dimension(self):
         v0 = power_law_profile(2.5, 0.3)
-        v1 = v0.with_values(np.zeros_like(v0.values))
         times = np.geomspace(10.0, 1e4, 40)
-        fit = fit_rate(times, evolve_damped(v0, v1, times, 0.0), (1e2, 1e4))
+        fit = fit_rate(times, evolve_damped(v0, times, 0.0), (1e2, 1e4))
         # slope -(n - 2a)/4 = -(2.5 - 0.6)/4
         assert fit["slope"] == pytest.approx(-1.9 / 4, abs=0.03)
 
 
 class TestKernelMemo:
-    """The process-wide memo of k00(t, r), k01(t, r) and e^{-r^2 t}."""
+    """The process-wide memo of k00(t, r) and e^{-r^2 t}."""
 
     SUITE = (3.0, 0.6, 1.0, "powerlaw:a=0.85")
 
@@ -376,20 +348,10 @@ class TestKernelMemo:
         return self.count(monkeypatch, kernel_entries)
 
     @staticmethod
-    def reference(times, kind, s, v0, v1=None):
-        # the order-s norms of the flow ``kind`` of (v0, v1) formed from
-        # fresh multipliers, zero velocity data spelled out
-        a = v0.values
-        b = np.zeros_like(a) if v1 is None else v1.values
-        norms = []
-        for t in times:
-            k00, k01, _, _ = kernel_entries(t, v0.r)
-            damped = k00 * a + k01 * b
-            heat = heat_multiplier(t, v0.r) * (a + b)
-            flow = {"damped": damped, "heat": heat,
-                    "difference": damped - heat}[kind]
-            norms.append(norm_radial(v0.with_values(flow), s))
-        return np.array(norms)
+    def reference(times, kind, s, v0):
+        # the order-s norms of the flow ``kind`` of v0 formed from fresh
+        # multipliers
+        return np.array([norm_radial(flow_oracle(kind, t, v0), s) for t in times])
 
     def test_curves_bitwise_equal_cold_warm_and_reference(self):
         v0 = power_law_profile(3.0, 0.85)
@@ -404,29 +366,19 @@ class TestKernelMemo:
                 [self.reference([t], kind, order, v0)[0]
                  for t, _, order, _, kind in cold])
 
-    def test_none_velocity_matches_zero_velocity(self):
-        v0 = power_law_profile(3.0, 0.85)
-        zeros = v0.with_values(np.zeros_like(v0.values))
-        times = np.geomspace(1.0, 1e3, 16)
-        for evolve in (evolve_damped, evolve_heat, diffusion_difference):
-            np.testing.assert_array_equal(evolve(v0, None, times, 1.0),
-                                          evolve(v0, zeros, times, 1.0))
-
-    def test_warm_velocity_curve_forms_no_kernel(self, monkeypatch, kernel_calls):
+    def test_warm_curve_forms_no_kernel(self, monkeypatch, kernel_calls):
         heat_calls = self.count(monkeypatch, heat_multiplier)
         v0 = power_law_profile(3.0, 0.85)
-        v1 = v0.with_values(0.5 * v0.values)
         times = np.geomspace(1.0, 1e3, 16)
-        diffusion_difference(v0, v1, times, 1.0)
-        # k00 and k01 are formed apart, each once per time
-        assert len(kernel_calls) == 2 * times.size
-        assert len(heat_calls) == times.size
+        diffusion_difference(v0, times, 1.0)
+        # k00 and the heat multiplier are each formed once per time
+        assert len(kernel_calls) == len(heat_calls) == times.size
         kernel_calls.clear()
         heat_calls.clear()
         for kind, evolve in (("damped", evolve_damped), ("heat", evolve_heat),
                              ("difference", diffusion_difference)):
-            warm = evolve(v0, v1, times, 1.0)
-            np.testing.assert_array_equal(warm, self.reference(times, kind, 1.0, v0, v1))
+            warm = evolve(v0, times, 1.0)
+            np.testing.assert_array_equal(warm, self.reference(times, kind, 1.0, v0))
         assert kernel_calls == heat_calls == []
 
     def test_suites_form_each_kernel_once(self, monkeypatch, kernel_calls):
@@ -444,8 +396,8 @@ class TestKernelMemo:
         moved[100] = 0.5 * (r[100] + r[101])
         v0 = power_law_profile(3.0, 0.85)
         w0 = power_law_profile(3.0, 0.85, r=moved)
-        evolve_damped(v0, None, times, 1.0)
-        norms = evolve_damped(w0, None, times, 1.0)
+        evolve_damped(v0, times, 1.0)
+        norms = evolve_damped(w0, times, 1.0)
         assert len(kernel_calls) == 2 * times.size
         np.testing.assert_array_equal(norms, self.reference(times, "damped", 1.0, w0))
 
@@ -457,23 +409,26 @@ class TestKernelMemo:
         # decreasing or 2-d times fail before any multiplier is formed; a
         # negative time fails in the kernel at the first sample
         v0 = power_law_profile(3.0, 0.85)
-        evolve_damped(v0, None, [1.0, 2.0], 0.0)
+        evolve_damped(v0, [1.0, 2.0], 0.0)
         before = list(radial._memo.items())
         with pytest.raises(error):
-            evolve_damped(v0, None, times, 0.0)
+            evolve_damped(v0, times, 0.0)
         after = list(radial._memo.items())
         assert [key for key, _ in after] == [key for key, _ in before]
         assert all(a is b for (_, a), (_, b) in zip(after, before))
 
     def test_memo_stays_within_budget(self):
-        v0 = gaussian_profile(3.0, r=log_radial_grid(2 * DEFAULT_POINTS))
-        evolve_damped(v0, None, np.geomspace(1.0, 1e5, 200), 0.0)
+        # 200 kernels of 8192 points are 13 MB, so the memo must evict
+        v0 = power_law_profile(3.0, 0.85, r=log_radial_grid(2 * DEFAULT_POINTS))
+        times = np.geomspace(1.0, 1e5, 200)
+        evolve_damped(v0, times, 0.0)
         held = sum(k00.nbytes for k00 in radial._memo.values())
         assert 0 < held <= radial._MEMO_BUDGET_BYTES
+        assert len(radial._memo) < times.size
 
     def test_memo_arrays_are_read_only(self):
         v0 = power_law_profile(3.0, 0.85)
-        evolve_damped(v0, None, np.geomspace(1.0, 10.0, 4), 0.0)
+        evolve_damped(v0, np.geomspace(1.0, 10.0, 4), 0.0)
         k00 = next(iter(radial._memo.values()))
         with pytest.raises(ValueError):
             k00[0] = 1.0

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from critex import (ContractError, DomainError, GridSpec, SolverConfig,
-                    SpectrumField, State, make_initial_data, nonlinearity, run,
+from critex import (ContractError, DomainError, GridSpec, Regime, RegimeParams,
+                    SolverConfig, SpectrumField, State, classify_regime,
+                    make_initial_data, nonlinearity, p_crit, p_fujita, run,
                     solver, step, transform_forward, transform_inverse)
 from critex.fields import (_forward_coeffs, _radius_squared, dealias_mask,
                            hermitian_weight, norm_weights, wavenumber_magnitude,
@@ -536,3 +537,39 @@ class TestLifespanAccuracy:
     def test_discretisation_ledger(self, default_run, grid, changes, bound):
         lifespan, _ = ledger_lifespan(grid, **changes)
         assert abs(lifespan - default_run[0]) <= bound * default_run[0]
+
+
+class TestBeyondFujita:
+    """At n = 1, gamma = 0.1, p = 3.5, between p_Fujita = 3 and p_crit = 4.33,
+    data of negative order -gamma blow up where a Gaussian of the same eps does
+    not.  On a torus every positive solution blows up eventually, so the
+    Gaussian's "Completed" means no blow-up by t_end = 2e5."""
+
+    GAMMA, P = 0.1, 3.5
+    CONFIG = SolverConfig(p=P, eps=1.0, dt=0.02, t_end=2e5)
+
+    def test_regime_lies_between_the_exponents(self):
+        assert p_fujita(1) < self.P < p_crit(1, self.GAMMA)
+        verdict = classify_regime(RegimeParams(n=1, gamma=self.GAMMA, s=1.0, p=self.P))
+        assert verdict.regime is Regime.BLOW_UP
+
+    def test_critical_tail_blows_up_where_a_gaussian_decays(self):
+        grid = DEFAULT_GRIDS[1]
+        tail = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=self.GAMMA)
+        lifespans = []
+        # measured T = 12.86, 65.93, 446.95
+        for eps in (0.35, 0.25, 0.2):
+            result = run(replace(self.CONFIG, eps=eps), tail, tail, grid, 1.0,
+                         self.GAMMA)
+            assert result.status == STATUS_BLOW_UP
+            lifespans.append(result.blow_up_time)
+        assert lifespans[-1] <= 1e3
+        assert all(2 * a <= b for a, b in zip(lifespans, lifespans[1:]))
+        # measured max|u| at t_end / at t = 0: 4.0e-3 and 3.5e-3
+        bump = gaussian(grid, 1.0)
+        for eps in (0.25, 0.2):
+            result = run(replace(self.CONFIG, eps=eps), bump, bump, grid, 1.0,
+                         self.GAMMA)
+            assert result.status == STATUS_COMPLETED
+            assert result.times[-1] == self.CONFIG.t_end
+            assert result.maxabs[-1] <= 1e-2 * result.maxabs[0]
