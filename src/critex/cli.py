@@ -15,7 +15,7 @@ command's only description:
   be finite), or a ``kind`` other than the command is an error, so a run's
   ``config.json`` re-runs it.
 
-A run command prints ``run_dir`` plus the run's ``report.json``;
+A run command prints ``run_dir`` plus the report it wrote to ``report.json``;
 ``exponents`` prints a JSON payload and ``probe`` a CSV table.  Run
 artifacts land under ``--out``, the ``CRITEX_OUT`` environment variable, or
 ``./runs``, in that order.  Bad input exits with status 2 and one
@@ -213,9 +213,8 @@ def main(argv=None) -> int:
         sys.stdout.write(result)
         return 0
     if isinstance(result, tuple):
-        run_dir = result[0]
-        result = {"run_dir": str(run_dir),
-                  **json.loads((run_dir / "report.json").read_text())}
+        run_dir, report = result
+        result = {"run_dir": str(run_dir), **report}
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

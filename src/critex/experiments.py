@@ -50,13 +50,17 @@ def _open_run(kind: str, params: dict) -> Path:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
     base = root / f"{stamp}-{kind}"
     path = base
-    root.mkdir(parents=True, exist_ok=True)
-    for counter in itertools.count(2):
-        try:
-            path.mkdir()  # atomic: a run that took the name raises here
-            break
-        except FileExistsError:
-            path = Path(f"{base}-{counter}")
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        for counter in itertools.count(2):
+            try:
+                path.mkdir()  # atomic: a run that took the name raises here
+                break
+            except FileExistsError:
+                path = Path(f"{base}-{counter}")
+    except OSError as error:
+        raise ContractError(f"cannot create a run directory under output root "
+                            f"{str(root)!r}: {error.strerror}") from None
     write_json(path / "config.json", config)
     return path
 
@@ -346,8 +350,8 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     ``N`` and ``L`` default to the grid of ``dim``.  ``snapshots`` is 0 or
     the number (at least 2) of uniform target times in [0, tend]; the first
     physical field at or past each one is stored for testfn, so a run that
-    stops early stores fewer.  Returns the run directory and the payload of
-    ``meta.json``.
+    stops early stores fewer.  Returns the run directory and the report;
+    ``meta.json`` holds only the run's wall time.
     """
     N, L = _grid_size(dim, N, L)
     params = dict(locals())
@@ -376,17 +380,17 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     run_dir = _open_run("evolve", params)
     write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
               zip(result.times, result.l2, result.hs, result.hneg, result.maxabs))
-    report = {"status": result.status, "blow_up_time": result.blow_up_time,
-              "weighted_sup": result.weighted_sup}
-    meta = {**report, "wall_time_s": wall}
-    write_json(run_dir / "meta.json", meta)
+    write_json(run_dir / "meta.json", {"wall_time_s": wall})
     if snapshots:
         # stored, not deflated: deflate saves only ~40 % on float64 fields
         # and took about a third of the time of a 2-D snapshot run
         np.savez(run_dir / "snapshots.npz", times=np.asarray(stored),
                  fields=fields[:len(stored)], u0=data)
+    lifespan = result.lifespan if np.isfinite(result.lifespan) else None
+    report = {"status": result.status, "blow_up_time": lifespan,
+              "weighted_sup": result.weighted_sup}
     write_json(run_dir / "report.json", report)
-    return run_dir, meta
+    return run_dir, report
 
 
 def _grid_size(dim: int, N: int | None, L: float | None) -> tuple[int, float]:
@@ -506,7 +510,7 @@ def experiment_phase_diagram(n: float, s: float, gamma_min: float,
 def experiment_testfn(run: Path, R: list[float],
                       out: str | None = None) -> tuple[Path, dict]:
     """Cutoff functional at the scaling radii ``R`` on a stored evolve run."""
-    params = {**locals(), "run": str(run), "R": list(R)}
+    params = {**locals(), "run": str(Path(run).absolute()), "R": list(R)}
     report = evaluate_testfn_functional(run, R)
     run_dir = _open_run("testfn", params)
     write_json(run_dir / "report.json", report)

@@ -52,8 +52,6 @@ STATUS_COMPLETED = "Completed"
 STATUS_BLOW_UP = "BlowUp"
 STATUS_STEP_UNDERFLOW = "StepUnderflow"
 
-LIFESPAN_INFINITE = math.inf
-
 _HISTORY_SAMPLES = 96
 # Step policy, scaled by lambda = _STEP_SCALE (read by each run): halve when
 # max|u| grows by more than 2^lambda in one step.  Double, up to lambda t/16,
@@ -123,22 +121,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one evolution: status, norm history, weighted sup."""
+    """Outcome of one evolution: status, lifespan, norm history, weighted sup."""
 
     status: str
-    blow_up_time: float | None
+    lifespan: float  # inf when Completed, else the last accepted step's time
     times: np.ndarray
     l2: np.ndarray
     hs: np.ndarray
     hneg: np.ndarray
     maxabs: np.ndarray
     weighted_sup: float
-
-    @property
-    def lifespan(self) -> float:
-        if self.status == STATUS_COMPLETED:
-            return LIFESPAN_INFINITE
-        return float(self.blow_up_time)
 
 
 def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
@@ -255,6 +247,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     max_cur = float(np.max(np.abs(u_phys)))
     record(0.0, u, max_cur)
     if observer is not None:
+        u_phys.flags.writeable = False
         observer(0.0, u_phys)
     sample_times = np.geomspace(min(config.dt, config.t_end), config.t_end,
                                 _HISTORY_SAMPLES)
@@ -286,6 +279,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         t += h_try
         u, ut, u_phys, max_cur = u_new, ut_new, u_new_phys, max_new
         if observer is not None:
+            u_phys.flags.writeable = False
             observer(t, u_phys)
         streak += 1
         h_cap = max(config.dt, t * cap_fraction)
@@ -304,14 +298,14 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
 
     completed = status == STATUS_COMPLETED
     record(config.t_end if completed else t, u, max_cur)
-    blow_up_time = None if completed else t
+    lifespan = math.inf if completed else t
 
     weighted_sup = max(0.0, *((1.0 + t) ** (gamma / 2.0) * l2
                               + (1.0 + t) ** ((s + gamma) / 2.0) * hs
                               for t, l2, hs, _, _ in rows))
     times, l2, hs, hneg, maxabs = map(np.asarray, zip(*rows))
-    return RunResult(status=status, blow_up_time=blow_up_time, times=times, l2=l2,
-                     hs=hs, hneg=hneg, maxabs=maxabs, weighted_sup=weighted_sup)
+    return RunResult(status=status, lifespan=lifespan, times=times, l2=l2, hs=hs,
+                     hneg=hneg, maxabs=maxabs, weighted_sup=weighted_sup)
 
 
 def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,

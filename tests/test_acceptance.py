@@ -266,7 +266,7 @@ def test_criterion_7_regime_consistency():
         config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=500.0)
         result = run(config, data, data, grid, 1.0, gamma)
         assert result.status == STATUS_BLOW_UP
-        assert result.blow_up_time < 500.0
+        assert result.lifespan < 500.0
 
         # the phase diagram marks exactly these regimes
         rows = emit_phase_diagram(1, 1.0, [gamma], [2.0, 5.0])

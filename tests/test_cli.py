@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from critex import experiments
 from critex.cli import COMMANDS, build_parser, main, resolve
 
 
@@ -255,6 +256,15 @@ class TestPinnedOutput:
 
 
 class TestRunCommands:
+    def test_prints_the_report_the_run_returned(self, capsys, tmp_path,
+                                                monkeypatch):
+        # the run's return value is printed as is; nothing is read back
+        monkeypatch.setattr(experiments, "experiment_phase_diagram",
+                            lambda **kwargs: (tmp_path, {"cells": 1}))
+        code, out, _ = run_cli(capsys, "phase-diagram", *RUNS["phase-diagram"])
+        assert code == 0
+        assert json.loads(out) == {"run_dir": str(tmp_path), "cells": 1}
+
     def test_phase_diagram(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "phase-diagram", "--n", "1", "--s", "1",
                                "--gamma-min", "0.1", "--gamma-max", "0.4",
@@ -350,6 +360,19 @@ class TestRunInputFailsFast:
         err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
                          "--s", "1", "--profile", spec)
         assert repr(spec) in err
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_cannot_be_created(self, capsys, tmp_path, below):
+        # --out names a regular file, or a directory beneath one
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out_dir = blocker / below if below else blocker
+        code, out, err = run_cli(capsys, "phase-diagram", *RUNS["phase-diagram"],
+                                 "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(out_dir)) in err
+        assert blocker.read_text() == "kept\n"
 
     def test_testfn_missing_run(self, capsys, tmp_path):
         err = self.fails(capsys, tmp_path, "testfn", "--run",
@@ -805,6 +828,29 @@ class TestConfigEchoRoundTrip:
                                str(evolve_dir), "--R", "1,1.2")
         assert config == {"kind": "testfn", "run": str(evolve_dir),
                           "R": [1.0, 1.2]}
+
+    def test_testfn_config_reruns_from_another_directory(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # a relative --run is echoed as an absolute path
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        code, out, err = run_cli(capsys, "evolve", *RUNS["evolve"], "--out", "art")
+        assert code == 0, err
+        evolve_dir = Path(json.loads(out)["run_dir"])
+        assert not evolve_dir.is_absolute()
+        code, out, err = run_cli(capsys, "testfn", "--run", str(evolve_dir),
+                                 "--R", "1,1.2", "--out", "art")
+        assert code == 0, err
+        first = Path(json.loads(out)["run_dir"]).absolute()
+        config = json.loads((first / "config.json").read_text())
+        assert config["run"] == str(tmp_path / "a" / evolve_dir)
+
+        monkeypatch.chdir(tmp_path / "b")
+        second = self.run(capsys, tmp_path, "testfn", "--config",
+                          str(first / "config.json"))
+        assert (first / "report.json").read_bytes() == \
+            (second / "report.json").read_bytes()
 
     def test_default_grid_is_resolved(self, capsys, tmp_path):
         run_dir = self.run(capsys, tmp_path, "evolve", "--dim", "1", "--p",

@@ -8,7 +8,7 @@ import pytest
 
 from critex import (DomainError, experiments, lifespan_exponent, p_crit,
                     radial, solver)
-from critex.errors import InsufficientDataError
+from critex.errors import ContractError, InsufficientDataError
 from critex.experiments import (build_profile,
                                 emit_phase_diagram, evaluate_testfn_functional,
                                 experiment_evolve, experiment_lifespan,
@@ -314,15 +314,15 @@ class TestExponentGate:
 
 class TestRunDirectories:
     def test_evolve_artifacts(self, tmp_path):
-        run_dir, meta = experiment_evolve(dim=1, N=512, L=50 * np.pi, p=2.0,
-                                          eps=0.1, gamma=0.5, s=1.0, dt=0.05,
-                                          tend=2.0, snapshots=8,
-                                          out=str(tmp_path))
+        run_dir, report = experiment_evolve(dim=1, N=512, L=50 * np.pi, p=2.0,
+                                            eps=0.1, gamma=0.5, s=1.0, dt=0.05,
+                                            tend=2.0, snapshots=8,
+                                            out=str(tmp_path))
         assert (run_dir / "config.json").exists()
         assert (run_dir / "curves.csv").exists()
         assert (run_dir / "meta.json").exists()
         assert (run_dir / "snapshots.npz").exists()
-        assert meta["status"] == "Completed"
+        assert report["status"] == "Completed"
         header = (run_dir / "curves.csv").read_text().splitlines()[0]
         assert header == "t,l2,hs,hneg,maxabs"
         archive = np.load(run_dir / "snapshots.npz")
@@ -332,17 +332,39 @@ class TestRunDirectories:
     def test_reproducibility(self, tmp_path):
         kwargs = dict(dim=1, N=256, L=30 * np.pi, p=2.0, eps=0.05, gamma=0.4,
                       s=1.0, dt=0.05, tend=1.0, out=str(tmp_path))
-        dir_a, meta_a = experiment_evolve(**kwargs)
-        dir_b, meta_b = experiment_evolve(**kwargs)
+        dir_a, report_a = experiment_evolve(**kwargs)
+        dir_b, report_b = experiment_evolve(**kwargs)
         assert (dir_a / "curves.csv").read_bytes() == \
             (dir_b / "curves.csv").read_bytes()
         assert (dir_a / "config.json").read_bytes() == \
             (dir_b / "config.json").read_bytes()
         assert (dir_a / "report.json").read_bytes() == \
             (dir_b / "report.json").read_bytes()
-        meta_a.pop("wall_time_s")
-        meta_b.pop("wall_time_s")
-        assert meta_a == meta_b
+        assert report_a == report_b
+
+    @pytest.mark.parametrize("eps, status", [(0.05, "Completed"), (1.0, "BlowUp")])
+    def test_outcome_is_stated_once(self, tmp_path, monkeypatch, eps, status):
+        results = []
+
+        def recorded_run(*args, **kwargs):
+            results.append(solver.run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "run", recorded_run)
+        run_dir, report = experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0,
+                                            eps=eps, gamma=0.5, dt=0.05,
+                                            tend=10.0, out=str(tmp_path))
+        (result,) = results
+        assert report == json.loads((run_dir / "report.json").read_text())
+        assert report["status"] == result.status == status
+        last_t = float((run_dir / "curves.csv").read_text().splitlines()[-1]
+                       .split(",")[0])
+        if status == "Completed":
+            assert report["blow_up_time"] is None and result.lifespan == math.inf
+        else:
+            assert report["blow_up_time"] == last_t == result.lifespan < 10.0
+        meta = json.loads((run_dir / "meta.json").read_text())
+        assert list(meta) == ["wall_time_s"] and meta["wall_time_s"] > 0
 
     def test_crashed_run_has_no_report(self, tmp_path, monkeypatch):
         def crash(*args, **kwargs):
@@ -370,11 +392,11 @@ class TestRunDirectories:
             return solver.run(*args, observer=observe, **kwargs)
 
         monkeypatch.setattr(experiments, "run", observed_run)
-        run_dir, meta = experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0,
-                                          eps=eps, gamma=0.5, dt=0.05,
-                                          tend=10.0, snapshots=8,
-                                          out=str(tmp_path))
-        assert meta["status"] == status
+        run_dir, report = experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0,
+                                            eps=eps, gamma=0.5, dt=0.05,
+                                            tend=10.0, snapshots=8,
+                                            out=str(tmp_path))
+        assert report["status"] == status
         path = run_dir / "snapshots.npz"
         with zipfile.ZipFile(path) as archive:
             assert sorted(archive.namelist()) == ["fields.npy", "times.npy",
@@ -459,6 +481,23 @@ class TestRunDirectories:
         assert run_dir == Path(f"{first}-2")
         assert list(first.iterdir()) == []
         assert (run_dir / "report.json").exists()
+
+    def test_run_directory_that_cannot_be_created(self, tmp_path, monkeypatch):
+        # a name clash still moves on to -2; any other OSError names the root
+        mkdir = Path.mkdir
+
+        def refusing_mkdir(self, *args, **kwargs):
+            if self.name.endswith("-phase-diagram"):
+                raise PermissionError(13, "Permission denied")
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refusing_mkdir)
+        with pytest.raises(ContractError, match="Permission denied") as caught:
+            experiment_phase_diagram(
+                n=1, s=1.0, gamma_min=0.1, gamma_max=0.3, gamma_steps=2,
+                p_min=2.0, p_max=4.0, p_steps=2, out=str(tmp_path / "root"))
+        assert repr(str(tmp_path / "root")) in str(caught.value)
+        assert list((tmp_path / "root").iterdir()) == []
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRITEX_OUT", str(tmp_path / "env_runs"))

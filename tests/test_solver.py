@@ -305,6 +305,23 @@ class TestRun:
         latest = np.searchsorted(seen_t, result.times, side="right") - 1
         assert result.maxabs.tolist() == [seen_peak[i] for i in latest]
 
+    def test_observer_cannot_change_the_march(self):
+        # the field handed over at t = 0 and after every accepted step is
+        # read-only, so an observer that writes to it raises at once
+        grid = GridSpec(dim=1, length=30 * np.pi, points=256)
+        data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+        config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=5.0)
+        writeable = []
+        run(config, data, data, grid, 1.0, 0.5,
+            observer=lambda t, u_phys: writeable.append(u_phys.flags.writeable))
+        assert len(writeable) > 1 and not any(writeable)
+
+        def halve(t, u_phys):
+            u_phys *= 0.5
+
+        with pytest.raises(ValueError, match="read-only"):
+            run(config, data, data, grid, 1.0, 0.5, observer=halve)
+
     def test_weighted_sup_is_the_largest_over_rows(self):
         grid = small_grid()
         data = 0.1 * gaussian(grid, grid.length / 40)
@@ -360,7 +377,7 @@ class TestRun:
         config = SolverConfig(p=2.0, eps=5.0, dt=0.1, t_end=10.0)
         result = run(config, data, data, grid, 1.0, 0.5)
         assert result.status == STATUS_STEP_UNDERFLOW
-        assert result.lifespan == result.blow_up_time
+        assert result.lifespan == result.times[-1]
 
     def test_step_underflow_records_the_final_row(self, monkeypatch):
         # the run stops at its last accepted step, and the history ends there
@@ -378,8 +395,8 @@ class TestRun:
 
         result = run(config, u0, -u0, grid, 1.0, 0.5, observer=observer)
         assert result.status == STATUS_STEP_UNDERFLOW
-        assert result.blow_up_time == seen_t[-1] < config.t_end
-        assert result.times[-1] == result.blow_up_time
+        assert result.lifespan == seen_t[-1] < config.t_end
+        assert result.times[-1] == result.lifespan
         assert result.maxabs[-1] == seen_peak[-1]
         assert np.all(np.diff(result.times) > 0)
 
@@ -562,7 +579,7 @@ class TestBeyondFujita:
             result = run(replace(self.CONFIG, eps=eps), tail, tail, grid, 1.0,
                          self.GAMMA)
             assert result.status == STATUS_BLOW_UP
-            lifespans.append(result.blow_up_time)
+            lifespans.append(result.lifespan)
         assert lifespans[-1] <= 1e3
         assert all(2 * a <= b for a, b in zip(lifespans, lifespans[1:]))
         # measured max|u| at t_end / at t = 0: 4.0e-3 and 3.5e-3
