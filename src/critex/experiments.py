@@ -343,7 +343,7 @@ def experiment_diffusion(n: float, gamma: float, s: float, profile: str,
 def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
                       eps: float, gamma: float, s: float = 1.0,
                       dt: float = 0.02, tend: float = 100.0,
-                      snapshots: int = 0, theta: float = 1e8,
+                      snapshots: int = 0, theta: float = 1e2,
                       out: str | None = None) -> tuple[Path, dict]:
     """Nonlinear evolution on a periodic grid.
 
@@ -409,7 +409,7 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
                         eps_start: float, eps_factor: float = 10 ** (-1 / 7),
                         count: int = 8, N: int | None = None,
                         L: float | None = None, dt: float = 0.02,
-                        tend: float = 2000.0, theta: float = 1e8,
+                        tend: float = 2000.0, theta: float = 1e2,
                         workers: int = 1,
                         out: str | None = None) -> tuple[Path, dict]:
     """Blow-up time sweep over eps and its fitted power law in eps.

@@ -21,9 +21,13 @@ multiplicity weights.  Fundamental solutions are never materialized in
 physical space; propagation is multiplier application, which is their
 exact action.
 
-Blow-up has no finite criterion, so a max-amplitude threshold theta stands
-in for norm divergence; near genuine blow-up the measured time is
-insensitive to theta over many orders of magnitude.  One scale lambda
+Near blow-up the peak follows the wave ODE y'' = y^p (the forcing outgrows
+the damping and the Laplacian), whose remaining time from y = u with
+y' = sqrt(2 u^(p+1)/(p+1)) is ``tail_time(u, p)``.  So theta is the
+max-amplitude level where that ODE takes over: a run stops at the first
+accepted step whose max|u| exceeds theta and reports the lifespan
+T = t + tail_time(max|u|, p), instead of marching the last stretch on a
+grid that no longer resolves the peak.  One scale lambda
 (``_STEP_SCALE``) drives the step policy: steps halve whenever the amplitude
 grows by more than 2^lambda in one step, and double, up to lambda t/16, on
 the first quiet step once _REGROWTH_STREAK steps were accepted since the
@@ -104,7 +108,7 @@ class SolverConfig:
     eps: float
     dt: float
     t_end: float
-    theta: float = 1e8
+    theta: float = 1e2
 
     def __post_init__(self):
         if self.p <= 1:
@@ -124,13 +128,22 @@ class RunResult:
     """Outcome of one evolution: status, lifespan, norm history, weighted sup."""
 
     status: str
-    lifespan: float  # inf when Completed, else the last accepted step's time
+    # inf when Completed, else the last accepted step's time, plus
+    # tail_time(max|u|, p) when BlowUp
+    lifespan: float
     times: np.ndarray
     l2: np.ndarray
     hs: np.ndarray
     hneg: np.ndarray
     maxabs: np.ndarray
     weighted_sup: float
+
+
+def tail_time(peak: float, p: float) -> float:
+    """Remaining time to blow-up of y'' = y^p from y = peak on its zero-energy
+    orbit y' = sqrt(2 y^(p+1)/(p+1)): sqrt((p+1)/2) (2/(p-1)) peak^(-(p-1)/2),
+    which is sqrt(6/peak) at p = 2."""
+    return math.sqrt((p + 1.0) / 2.0) * 2.0 / (p - 1.0) * peak ** (-(p - 1.0) / 2.0)
 
 
 def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
@@ -213,13 +226,15 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     Records a history row (t, L2, H^s, H^-gamma, max|u|) at t = 0, after each
     accepted step that passes one of the 96 geometric targets in
     [min(dt, t_end), t_end] (at most one row per step), and at the final time
-    whatever the status: t_end, or the blow-up time, which is the last
-    accepted step for BlowUp and StepUnderflow alike; max|u| is the step's
-    own reduction.  The weighted sup (1+t)^{gamma/2} |u|_{L2} +
-    (1+t)^{(s+gamma)/2} |u|_{Hs} is the largest over the rows.  The
-    negative-order column is computed over k != 0: the forcing injects mean,
-    and on the torus the single zero mode is excluded rather than letting it
-    mask the decaying part.
+    whatever the status: t_end, or the last accepted step for BlowUp and
+    StepUnderflow alike; max|u| is the step's own reduction.  The run stops
+    as BlowUp at the first accepted step whose max|u| exceeds theta, and its
+    lifespan is that step's time plus ``tail_time(max|u|, p)``; a
+    StepUnderflow run's lifespan is its last accepted step's time.  The
+    weighted sup (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs} is
+    the largest over the rows.  The negative-order column is computed over
+    k != 0: the forcing injects mean, and on the torus the single zero mode
+    is excluded rather than letting it mask the decaying part.
 
     ``observer(t, u_phys)``, when given, is called at t = 0 and after every
     accepted step with the current physical field (read-only view).
@@ -260,6 +275,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     h_min = config.dt * _DT_MIN_RATIO
     status = STATUS_COMPLETED
     streak = 0
+    tail = 0.0
 
     while t < config.t_end * (1.0 - 1e-12):
         h_try = min(h, config.t_end - t)
@@ -289,6 +305,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
 
         if max_cur > config.theta:
             status = STATUS_BLOW_UP
+            tail = tail_time(max_cur, config.p)
             break
 
         passed = np.searchsorted(sample_times, t, side="right")
@@ -298,7 +315,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
 
     completed = status == STATUS_COMPLETED
     record(config.t_end if completed else t, u, max_cur)
-    lifespan = math.inf if completed else t
+    lifespan = math.inf if completed else t + tail
 
     weighted_sup = max(0.0, *((1.0 + t) ** (gamma / 2.0) * l2
                               + (1.0 + t) ** ((s + gamma) / 2.0) * hs

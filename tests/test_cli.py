@@ -739,7 +739,7 @@ class TestSignatureIsTheDescription:
         _, values = resolve(args)
         assert values == {"dim": 1, "N": None, "L": None, "p": 2.0,
                           "eps": 0.1, "gamma": 0.5, "s": 1.0, "dt": 0.02,
-                          "tend": 100.0, "snapshots": 0, "theta": 1e8,
+                          "tend": 100.0, "snapshots": 0, "theta": 1e2,
                           "out": None}
 
     def test_one_parser_survives_a_failed_parse(self, capsys):
