@@ -119,8 +119,12 @@ def _rate_suite(n: float, gamma: float, profile: str, t0: float, t1: float,
     if points < 1 or t0 <= 0:
         raise DomainError(f"rate suites need points >= 1 and t0 > 0, "
                           f"got points = {points}, t0 = {t0}")
+    lo, hi = DEFAULT_FIT_WINDOW
+    window = max(lo, t0), min(hi, t1)
+    if window[0] >= window[1]:  # also whenever t1 <= t0
+        raise DomainError(f"the fit window [{lo:g}, {hi:g}] clipped to [t0, t1] is "
+                          f"empty for t0 = {t0}, t1 = {t1}")
     v0 = build_profile(profile, n)
-    window = max(DEFAULT_FIT_WINDOW[0], t0), min(DEFAULT_FIT_WINDOW[1], t1)
     times = np.geomspace(t0, t1, points)
     for order in dict.fromkeys(x for c in curves.values() for x in (c[1], -gamma)):
         radial.norm_radial(v0, order)

@@ -1,7 +1,8 @@
 """Arbitrary-dimension linear experiments on radial spectral profiles.
 
-A radial profile samples v_hat(r) on a log-spaced grid of radial
-frequencies.  Norms come from the radial Plancherel identity
+A radial profile samples v_hat(r) on the log-spaced grid of radial
+frequencies that its sample count fixes, ``log_radial_grid(values.size)``.
+Norms come from the radial Plancherel identity
 
     ||f||_{H^s}^2 = sigma_{n-1} * Int r^{2s+n-1} |v_hat(r)|^2 dr,
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,44 +40,49 @@ def sphere_surface(n: float) -> float:
 
 
 def log_radial_grid(points: int = DEFAULT_POINTS) -> np.ndarray:
-    return np.geomspace(DEFAULT_R_MIN, DEFAULT_R_MAX, points)
+    """The ``points`` log-spaced radii in [r_min, r_max]: one read-only array
+    per size, shared by every profile of that size."""
+    return _log_radial_grid(points)
+
+
+@lru_cache
+def _log_radial_grid(points: int) -> np.ndarray:
+    r = np.geomspace(DEFAULT_R_MIN, DEFAULT_R_MAX, points)
+    r.flags.writeable = False
+    return r
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Real sampled radial spectral function r -> v_hat(r) in dimension ``dim``."""
+    """Real radial spectral function r -> v_hat(r) in dimension ``dim``,
+    sampled on ``log_radial_grid(values.size)``."""
 
     dim: float
-    r: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dim}")
-        r = np.asarray(self.r, dtype=float)
-        if r.ndim != 1 or r.size < 8:
-            raise ContractError("radial grid must be a 1-d array with >= 8 points")
-        if r[0] <= 0 or np.any(np.diff(r) <= 0):
-            raise ContractError("radial grid must be strictly increasing with r[0] > 0")
         if np.iscomplexobj(self.values):
             raise ContractError("profile values are a real radial transform, got complex")
         values = np.asarray(self.values, dtype=float)
-        if values.shape != r.shape:
-            raise ContractError(
-                f"values shape {values.shape} does not match grid {r.shape}")
+        if values.ndim != 1 or values.size < 8:
+            raise ContractError("profile values must be a 1-d array of >= 8 samples")
         if not np.isfinite(values).all():
             raise ContractError("profile values must be finite")
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", values)
 
+    @property
+    def r(self) -> np.ndarray:
+        return log_radial_grid(self.values.size)
 
-def power_law_profile(dim: float, exponent: float,
-                      r: np.ndarray | None = None) -> RadialProfile:
+
+def power_law_profile(dim: float, exponent: float) -> RadialProfile:
     """v_hat(r) = r^-exponent on (0, 1], zero beyond."""
-    r = log_radial_grid() if r is None else np.asarray(r, dtype=float)
+    r = log_radial_grid()
     with np.errstate(over="ignore"):
         values = np.where(r <= 1.0, r ** (-exponent), 0.0)
-    return RadialProfile(dim, r, values)
+    return RadialProfile(dim, values)
 
 
 # ---------------------------------------------------------------------------
@@ -123,46 +130,33 @@ def norm_radial(profile: RadialProfile, s: float) -> float:
 # evolutions
 # ---------------------------------------------------------------------------
 
-# Process-wide memo of the multipliers k00(t, r) and e^{-r^2 t} on one radial
-# grid, keyed by name and the exact float t: every rate suite samples the same
-# times on the same grid.  Least recently used arrays go first past the budget
-# (256 at DEFAULT_POINTS, so a diffusion suite's 2 x 96 fit); all read-only.
-_MEMO_BUDGET_BYTES = 8 * 1024 * 1024
-_memo_grid = np.empty(0)
-_memo: dict[tuple[str, float], np.ndarray] = {}
-
-
-def _multiplier(name: str, t: float, r: np.ndarray) -> np.ndarray:
-    multiplier = _memo.pop((name, t), None)
-    if multiplier is None:
-        multiplier = heat_multiplier(t, r) if name == "heat" else \
-            kernel_entries(t, r)[0]
-        multiplier.flags.writeable = False
-    _memo[name, t] = multiplier
-    while len(_memo) * multiplier.nbytes > _MEMO_BUDGET_BYTES:
-        del _memo[next(iter(_memo))]
+# Every rate suite samples the same times on the same grid, so the multipliers
+# k00(t, r) and e^{-r^2 t} are kept per (name, exact float t, grid size), read-only.
+# 256 arrays (8 MiB at DEFAULT_POINTS) hold a diffusion suite's 2 x 96.
+@lru_cache(maxsize=256)
+def _multiplier(name: str, t: float, points: int) -> np.ndarray:
+    r = log_radial_grid(points)
+    multiplier = heat_multiplier(t, r) if name == "heat" else kernel_entries(t, r)[0]
+    multiplier.flags.writeable = False
     return multiplier
 
 
 def _curve(kind: str, v0: RadialProfile, times: np.ndarray, s: float) -> np.ndarray:
     """Order-s norms at ``times`` of the linear flow ``kind`` of the data v0
     with zero velocity data."""
-    global _memo_grid
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not (np.diff(times) > 0).all():
         raise ContractError("times must be a 1-d strictly increasing array")
     weight, steps, sigma = _measure(v0, s)
-    if not np.array_equal(_memo_grid, v0.r):
-        _memo.clear()
-        _memo_grid = v0.r.copy()
+    points = v0.values.size
     norms = np.empty_like(times)
     # an overflow gives a non-finite sum, which _plancherel rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(times.tolist()):
             if kind != "heat":
-                flow = _multiplier("k00", t, v0.r) * v0.values
+                flow = _multiplier("k00", t, points) * v0.values
             if kind != "damped":
-                heat_flow = _multiplier("heat", t, v0.r) * v0.values
+                heat_flow = _multiplier("heat", t, points) * v0.values
                 flow = heat_flow if kind == "heat" else flow - heat_flow
             norms[i] = _plancherel(flow, weight, steps, sigma)
     return norms

@@ -512,13 +512,24 @@ class TestRunInputFailsFast:
                          "--p-max", "3", "--p-steps", p_steps)
         assert "step counts must be >= 1" in err
 
-    @pytest.mark.parametrize("flag, value", [("--points", "-1"), ("--points", "0"),
-                                             ("--t0", "0"), ("--t0", "-1")])
+    BAD_SAMPLES = [(("--points", "-1"), "points >= 1 and t0 > 0"),
+                   (("--points", "0"), "points >= 1 and t0 > 0"),
+                   (("--t0", "0"), "points >= 1 and t0 > 0"),
+                   (("--t0", "-1"), "points >= 1 and t0 > 0"),
+                   (("--t0", "1e3", "--t1", "10"), "empty for t0 = 1000.0, t1 = 10.0"),
+                   (("--t1", "50"), "empty for t0 = 1.0, t1 = 50.0"),
+                   (("--t0", "2e4"), "empty for t0 = 20000.0, t1 = 100000.0")]
+
+    # each fails before a profile is built, so before any curve
+    @pytest.mark.parametrize("args, message", BAD_SAMPLES,
+                             ids=["-".join(args) for args, _ in BAD_SAMPLES])
     @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
-    def test_rate_suite_bad_samples(self, capsys, tmp_path, command, flag, value):
+    def test_rate_suite_bad_samples(self, capsys, tmp_path, monkeypatch, command,
+                                    args, message):
+        monkeypatch.setattr(experiments, "build_profile", None)
         err = self.fails(capsys, tmp_path, command, "--n", "2", "--gamma", "0.7",
-                         "--s", "1", "--profile", "powerlaw:a=0.25", flag, value)
-        assert "points >= 1 and t0 > 0" in err
+                         "--s", "1", "--profile", "powerlaw:a=0.25", *args)
+        assert message in err
 
     @pytest.mark.parametrize("command", ["linear-decay", "diffusion"])
     def test_rate_suite_data_outside_negative_order(self, capsys, tmp_path,

@@ -11,10 +11,9 @@ from critex.experiments import run_decay_suite, run_diffusion_suite
 from critex.radial import DEFAULT_POINTS, sphere_surface
 
 
-def gaussian(n, width=1.0, r=None):
+def gaussian(n, width=1.0):
     """v_hat(r) = exp(-(width * r)^2): smooth data, for the oracles below."""
-    r = log_radial_grid() if r is None else r
-    return RadialProfile(n, r, np.exp(-(width * r) ** 2))
+    return RadialProfile(n, np.exp(-(width * log_radial_grid()) ** 2))
 
 
 def heat_norm_oracle(t, n, a, s=0.0):
@@ -29,7 +28,7 @@ def flow_oracle(kind, t, v0):
     damped = kernel_entries(t, v0.r)[0] * v0.values
     heat = heat_multiplier(t, v0.r) * v0.values
     flow = {"damped": damped, "heat": heat, "difference": damped - heat}[kind]
-    return RadialProfile(v0.dim, v0.r, flow)
+    return RadialProfile(v0.dim, flow)
 
 
 class TestNormRadial:
@@ -53,13 +52,13 @@ class TestNormRadial:
 
     def test_rejects_outer_growth(self):
         r = log_radial_grid(points=512)
-        profile = RadialProfile(2, r, r ** 1.0)
+        profile = RadialProfile(2, r ** 1.0)
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
     def test_rejects_inner_divergence(self):
         r = log_radial_grid(points=512)
-        profile = RadialProfile(1, r, r ** -2.0)
+        profile = RadialProfile(1, r ** -2.0)
         with pytest.raises(AccuracyError):
             norm_radial(profile, 0.0)
 
@@ -67,7 +66,7 @@ class TestNormRadial:
         # finite values whose square overflows; an overflow warning would
         # fail the test as an error
         r = log_radial_grid(points=64)
-        profile = RadialProfile(2, r, np.where(r <= 1.0, 1e200, 0.0))
+        profile = RadialProfile(2, np.where(r <= 1.0, 1e200, 0.0))
         with pytest.raises(ContractError, match="finite"):
             norm_radial(profile, 0.0)
 
@@ -102,16 +101,21 @@ class TestNormRadial:
                 assert got == expected, (s, n)
 
     def test_profile_validation(self):
-        r = log_radial_grid(points=64)
-        with pytest.raises(ContractError):
-            RadialProfile(2, r[::-1].copy(), np.ones(64))
-        with pytest.raises(ContractError):
-            RadialProfile(2, r, np.ones(32))
+        for values in (np.ones(7), np.ones((8, 8))):
+            with pytest.raises(ContractError, match=">= 8 samples"):
+                RadialProfile(2, values)
         with pytest.raises(DomainError):
-            RadialProfile(0.5, r, np.ones(64))
+            RadialProfile(0.5, np.ones(64))
         # a real transform: complex input is rejected, not silently cast
         with pytest.raises(ContractError, match="complex"):
-            RadialProfile(2, r, np.ones(64, dtype=complex))
+            RadialProfile(2, np.ones(64, dtype=complex))
+
+    def test_profiles_share_one_read_only_grid(self):
+        r = power_law_profile(2, 0.25).r
+        assert r is log_radial_grid()
+        assert RadialProfile(2, np.ones(64)).r is log_radial_grid(64)
+        with pytest.raises(ValueError):
+            r[0] = 1.0
 
 
 class TestSphereSurface:
@@ -154,8 +158,7 @@ class TestHeatEvolution:
 
     def test_rejects_nonfinite_flow(self):
         # finite data whose heat flow's square overflows at t = 0
-        r = log_radial_grid(points=64)
-        big = RadialProfile(2, r, np.full(64, 1e308))
+        big = RadialProfile(2, np.full(64, 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
             evolve_heat(big, np.array([0.0]), 0.0)
@@ -173,7 +176,7 @@ class TestDampedEvolution:
         v1 = power_law_profile(2, 0.0)
         times = np.geomspace(1.0, 1e4, 60)
         flows = (kernel_entries(t, v1.r)[1] * v1.values for t in times)
-        norms = [norm_radial(RadialProfile(2, v1.r, flow), 0.0) for flow in flows]
+        norms = [norm_radial(RadialProfile(2, flow), 0.0) for flow in flows]
         fit = fit_rate(times, np.array(norms), (1e2, 1e4))
         assert fit["slope"] == pytest.approx(-0.5, abs=0.02)
 
@@ -201,7 +204,7 @@ class TestDampedEvolution:
         # finite data whose integrand already overflows at t = 0, and that
         # is a contract error
         r = log_radial_grid(points=64)
-        big = RadialProfile(2, r, np.where(r <= 1.0, 1e308, 0.0))
+        big = RadialProfile(2, np.where(r <= 1.0, 1e308, 0.0))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="finite"):
             evolve_damped(big, np.array([0.0, 10.0]), 0.0)
@@ -321,15 +324,15 @@ class TestDimensionKnob:
 
 
 class TestKernelMemo:
-    """The process-wide memo of k00(t, r) and e^{-r^2 t}."""
+    """The process-wide cache of k00(t, r) and e^{-r^2 t}."""
 
     SUITE = (3.0, 0.6, 1.0, "powerlaw:a=0.85")
 
     @pytest.fixture(autouse=True)
     def cleared_memo(self):
-        radial._memo.clear()
+        radial._multiplier.cache_clear()
         yield
-        radial._memo.clear()
+        radial._multiplier.cache_clear()
 
     @staticmethod
     def count(monkeypatch, fn):
@@ -356,7 +359,7 @@ class TestKernelMemo:
     def test_curves_bitwise_equal_cold_warm_and_reference(self):
         v0 = power_law_profile(3.0, 0.85)
         for suite in (run_decay_suite, run_diffusion_suite):
-            radial._memo.clear()
+            radial._multiplier.cache_clear()
             # curves.csv rows (t, norm, order, gamma, kind)
             cold = suite(*self.SUITE)[1]
             warm = suite(*self.SUITE)[1]
@@ -382,24 +385,16 @@ class TestKernelMemo:
         assert kernel_calls == heat_calls == []
 
     def test_suites_form_each_kernel_once(self, monkeypatch, kernel_calls):
+        # suites at any (n, gamma, a) sample the same 96 times on one grid
         heat_calls = self.count(monkeypatch, heat_multiplier)
         run_diffusion_suite(*self.SUITE)
         run_diffusion_suite(*self.SUITE)
+        for suite in (run_decay_suite, run_diffusion_suite):
+            suite(2.0, 0.7, 1.0, "powerlaw:a=0.25")
+            suite(2.5, 0.3, 0.0, "powerlaw:a=0.9")
         for calls in (kernel_calls, heat_calls):
             assert len(calls) == 96
             assert len(set(calls)) == 96
-
-    def test_grids_with_equal_ends_share_no_kernel(self, kernel_calls):
-        times = np.geomspace(1.0, 1e3, 16)
-        r = log_radial_grid()
-        moved = r.copy()
-        moved[100] = 0.5 * (r[100] + r[101])
-        v0 = power_law_profile(3.0, 0.85)
-        w0 = power_law_profile(3.0, 0.85, r=moved)
-        evolve_damped(v0, times, 1.0)
-        norms = evolve_damped(w0, times, 1.0)
-        assert len(kernel_calls) == 2 * times.size
-        np.testing.assert_array_equal(norms, self.reference(times, "damped", 1.0, w0))
 
     @pytest.mark.parametrize("times, error", [([10.0, 1.0], ContractError),
                                               ([[1.0, 10.0]], ContractError),
@@ -410,25 +405,25 @@ class TestKernelMemo:
         # negative time fails in the kernel at the first sample
         v0 = power_law_profile(3.0, 0.85)
         evolve_damped(v0, [1.0, 2.0], 0.0)
-        before = list(radial._memo.items())
+        cached = lambda: [radial._multiplier("k00", t, DEFAULT_POINTS) for t in (1.0, 2.0)]
+        before = cached()
+        assert radial._multiplier.cache_info().currsize == 2
         with pytest.raises(error):
             evolve_damped(v0, times, 0.0)
-        after = list(radial._memo.items())
-        assert [key for key, _ in after] == [key for key, _ in before]
-        assert all(a is b for (_, a), (_, b) in zip(after, before))
+        assert radial._multiplier.cache_info().currsize == 2
+        assert all(a is b for a, b in zip(cached(), before))
 
     def test_memo_stays_within_budget(self):
-        # 200 kernels of 8192 points are 13 MB, so the memo must evict
-        v0 = power_law_profile(3.0, 0.85, r=log_radial_grid(2 * DEFAULT_POINTS))
-        times = np.geomspace(1.0, 1e5, 200)
-        evolve_damped(v0, times, 0.0)
-        held = sum(k00.nbytes for k00 in radial._memo.values())
-        assert 0 < held <= radial._MEMO_BUDGET_BYTES
-        assert len(radial._memo) < times.size
+        # 300 kernels of 4096 points are 9.4 MiB, so the memo must evict
+        v0 = power_law_profile(3.0, 0.85)
+        evolve_damped(v0, np.geomspace(1.0, 1e5, 300), 0.0)
+        held = radial._multiplier.cache_info().currsize
+        assert held == 256
+        assert held * log_radial_grid().nbytes <= 8 * 1024 * 1024
 
     def test_memo_arrays_are_read_only(self):
         v0 = power_law_profile(3.0, 0.85)
         evolve_damped(v0, np.geomspace(1.0, 10.0, 4), 0.0)
-        k00 = next(iter(radial._memo.values()))
+        k00 = radial._multiplier("k00", 1.0, DEFAULT_POINTS)
         with pytest.raises(ValueError):
             k00[0] = 1.0
