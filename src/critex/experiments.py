@@ -124,8 +124,9 @@ def _rate_suite(n: float, gamma: float, profile: str, t0: float, t1: float,
     if window[0] >= window[1]:  # also whenever t1 <= t0
         raise DomainError(f"the fit window [{lo:g}, {hi:g}] clipped to [t0, t1] is "
                           f"empty for t0 = {t0}, t1 = {t1}")
-    v0 = build_profile(profile, n)
     times = np.geomspace(t0, t1, points)
+    radial._fit_mask(times, window)  # too few samples fail before any curve
+    v0 = build_profile(profile, n)
     for order in dict.fromkeys(x for c in curves.values() for x in (c[1], -gamma)):
         radial.norm_radial(v0, order)
     norms = {key: getattr(radial, _CURVES[kind])(v0, times, order)
@@ -354,8 +355,9 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     ``N`` and ``L`` default to the grid of ``dim``.  ``snapshots`` is 0 or
     the number (at least 2) of uniform target times in [0, tend]; the first
     physical field at or past each one is stored for testfn, so a run that
-    stops early stores fewer.  Returns the run directory and the report;
-    ``meta.json`` holds only the run's wall time.
+    stops early stores fewer.  ``curves.csv`` holds one row per accepted
+    step (the step trace of ``run``).  Returns the run directory and the
+    report; ``meta.json`` holds only the run's wall time.
     """
     N, L = _grid_size(dim, N, L)
     params = dict(locals())

@@ -50,8 +50,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise DomainError(f"grid dimension must be 1, 2 or 3, got {self.dim}")
-        if self.length <= 0:
-            raise DomainError(f"box edge must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:  # NaN fails it too
+            raise DomainError(f"box edge {self.length} must be positive and finite")
         n = self.points
         if n < 8 or n & (n - 1) != 0:
             raise DomainError(f"points per axis must be a power of two >= 8, got {n}")

@@ -182,6 +182,15 @@ def diffusion_difference(v0: RadialProfile, times: np.ndarray,
 # rate fitting
 # ---------------------------------------------------------------------------
 
+def _fit_mask(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """The times inside the window; InsufficientDataError below 8 of them."""
+    mask = (times >= window[0]) & (times <= window[1])
+    if (count := int(np.count_nonzero(mask))) < 8:
+        raise InsufficientDataError(f"fit window [{window[0]}, {window[1]}] "
+                                    f"contains {count} samples; need >= 8")
+    return mask
+
+
 def fit_rate(times: np.ndarray, norms: np.ndarray,
              window: tuple[float, float] = DEFAULT_FIT_WINDOW) -> dict:
     """Fit log(norm) ~ slope * log(1 + t) + intercept over the window; returns
@@ -193,11 +202,7 @@ def fit_rate(times: np.ndarray, norms: np.ndarray,
     t_lo, t_hi = window
     if t_lo >= t_hi:
         raise DomainError(f"fit window must satisfy t_lo < t_hi, got {window}")
-    mask = (times >= t_lo) & (times <= t_hi)
-    count = int(np.count_nonzero(mask))
-    if count < 8:
-        raise InsufficientDataError(
-            f"fit window [{t_lo}, {t_hi}] contains {count} samples; need >= 8")
+    mask = _fit_mask(times, window)
     norms = norms[mask]
     if np.any(norms <= 0):
         raise DomainError("rate fit requires strictly positive norms in the window")

@@ -36,6 +36,9 @@ Running out of step size (StepUnderflow) is reported separately but has a
 finite lifespan, so lifespan sweeps count it as blow-up: gradient
 steepening beyond resolvable steps is numerically indistinguishable from
 divergence.
+
+A run's history is its step trace, one row at t = 0 and one per accepted
+step, so the approach to blow-up is in the history.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ STATUS_COMPLETED = "Completed"
 STATUS_BLOW_UP = "BlowUp"
 STATUS_STEP_UNDERFLOW = "StepUnderflow"
 
-_HISTORY_SAMPLES = 96
 # Step policy, scaled by lambda = _STEP_SCALE (read by each run): halve when
 # max|u| grows by more than 2^lambda in one step.  Double, up to lambda t/16,
 # on the first accepted step that grew by at most 1.02^lambda once
@@ -111,6 +113,9 @@ class SolverConfig:
     theta: float = 1e2
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # NaN passes every check below
+            if not math.isfinite(value):
+                raise DomainError(f"solver setting {name} must be finite, got {value}")
         if self.p <= 1:
             raise DomainError(f"exponent p must exceed 1, got {self.p}")
         if self.eps < 0:
@@ -223,21 +228,21 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         s: float, gamma: float, observer=None) -> RunResult:
     """March the semilinear problem with data (eps*u0, eps*u1) to t_end.
 
-    Records a history row (t, L2, H^s, H^-gamma, max|u|) at t = 0, after each
-    accepted step that passes one of the 96 geometric targets in
-    [min(dt, t_end), t_end] (at most one row per step), and at the final time
-    whatever the status: t_end, or the last accepted step for BlowUp and
-    StepUnderflow alike; max|u| is the step's own reduction.  The run stops
-    as BlowUp at the first accepted step whose max|u| exceeds theta, and its
-    lifespan is that step's time plus ``tail_time(max|u|, p)``; a
-    StepUnderflow run's lifespan is its last accepted step's time.  The
+    Records a history row (t, L2, H^s, H^-gamma, max|u|) at t = 0 and after
+    every accepted step, the last one included: the step that ends at t_end,
+    the first past theta, or the last before StepUnderflow.  So the step
+    sizes are np.diff(times), and the rows grow with the accepted steps,
+    O(log t) for a run that completes; max|u| is the step's own reduction.
+    The run stops as BlowUp at the first accepted step whose max|u| exceeds
+    theta, and its lifespan is that step's time plus ``tail_time(max|u|, p)``;
+    a StepUnderflow run's lifespan is its last accepted step's time.  The
     weighted sup (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs} is
     the largest over the rows.  The negative-order column is computed over
     k != 0: the forcing injects mean, and on the torus the single zero mode
     is excluded rather than letting it mask the decaying part.
 
-    ``observer(t, u_phys)``, when given, is called at t = 0 and after every
-    accepted step with the current physical field (read-only view).
+    ``observer(t, u_phys)``, when given, is called at each row's time with
+    the current physical field (read-only view).
     """
     if not (0 < s <= 1):
         raise DomainError(f"regularity s must lie in (0, 1], got {s}")
@@ -253,20 +258,11 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     ut = _forward_coeffs(config.eps * u1, grid)
     u_phys = _physical(u, grid)
 
-    rows = []
-
-    def record(t: float, coeffs: np.ndarray, peak: float):
-        if not rows or t > rows[-1][0]:
-            rows.append((t, *weighted_norms(coeffs, weights), peak))
-
     max_cur = float(np.max(np.abs(u_phys)))
-    record(0.0, u, max_cur)
+    rows = [(0.0, *weighted_norms(u, weights), max_cur)]
     if observer is not None:
         u_phys.flags.writeable = False
         observer(0.0, u_phys)
-    sample_times = np.geomspace(min(config.dt, config.t_end), config.t_end,
-                                _HISTORY_SAMPLES)
-    samples_passed = 0
 
     growth, quiet_ratio, cap_fraction = (2.0 ** _STEP_SCALE, 1.02 ** _STEP_SCALE,
                                          _STEP_SCALE / 16.0)
@@ -277,7 +273,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
     streak = 0
     tail = 0.0
 
-    while t < config.t_end * (1.0 - 1e-12):
+    while t < config.t_end:
         h_try = min(h, config.t_end - t)
         u_new, ut_new, u_new_phys, max_new = _step_arrays(
             u, ut, u_phys, h_try, config.p, grid)
@@ -293,7 +289,10 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
 
         quiet = max_cur == 0.0 or max_new <= quiet_ratio * max_cur
         t += h_try
+        if t >= config.t_end * (1.0 - 1e-12):  # steps that sum to t_end round short
+            t = config.t_end
         u, ut, u_phys, max_cur = u_new, ut_new, u_new_phys, max_new
+        rows.append((t, *weighted_norms(u, weights), max_cur))
         if observer is not None:
             u_phys.flags.writeable = False
             observer(t, u_phys)
@@ -308,14 +307,7 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             tail = tail_time(max_cur, config.p)
             break
 
-        passed = np.searchsorted(sample_times, t, side="right")
-        if passed > samples_passed:
-            record(t, u, max_cur)
-            samples_passed = passed
-
-    completed = status == STATUS_COMPLETED
-    record(config.t_end if completed else t, u, max_cur)
-    lifespan = math.inf if completed else t + tail
+    lifespan = math.inf if status == STATUS_COMPLETED else t + tail
 
     weighted_sup = max(0.0, *((1.0 + t) ** (gamma / 2.0) * l2
                               + (1.0 + t) ** ((s + gamma) / 2.0) * hs

@@ -518,7 +518,10 @@ class TestRunInputFailsFast:
                    (("--t0", "-1"), "points >= 1 and t0 > 0"),
                    (("--t0", "1e3", "--t1", "10"), "empty for t0 = 1000.0, t1 = 10.0"),
                    (("--t1", "50"), "empty for t0 = 1.0, t1 = 50.0"),
-                   (("--t0", "2e4"), "empty for t0 = 20000.0, t1 = 100000.0")]
+                   (("--t0", "2e4"), "empty for t0 = 20000.0, t1 = 100000.0"),
+                   # 4 of 12 samples over [1, 1e5] in [1e2, 1e4]: fit_rate's refusal
+                   (("--points", "12"),
+                    "fit window [100.0, 10000.0] contains 4 samples; need >= 8")]
 
     # each fails before a profile is built, so before any curve
     @pytest.mark.parametrize("args, message", BAD_SAMPLES,

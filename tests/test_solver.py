@@ -27,6 +27,18 @@ def gaussian(grid, width):
     return np.exp(-_radius_squared(grid) / (2.0 * width * width))
 
 
+def approach_ratios(result, p, floor=30.0):
+    """Growth rate of max|u| between consecutive rows at or above ``floor``
+    over the wave-ODE rate sqrt(2/(p+1)) m^((p-1)/2), m the two rows'
+    geometric-mean peak.  Near T the peak follows y'' = y^p on its
+    zero-energy orbit, so these ratios tend to 1."""
+    t, peak = result.times, result.maxabs
+    both = (peak[:-1] >= floor) & (peak[1:] >= floor)
+    rate = np.diff(np.log(peak))[both] / np.diff(t)[both]
+    mean = np.sqrt(peak[:-1] * peak[1:])[both]
+    return rate / (math.sqrt(2.0 / (p + 1.0)) * mean ** ((p - 1.0) / 2.0))
+
+
 def smooth_state(grid, amplitude=1.0):
     data = amplitude * gaussian(grid, grid.length / 40)
     u = transform_forward(data, grid)
@@ -199,6 +211,18 @@ class TestRun:
         with pytest.raises(DomainError):
             SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0, theta=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["p", "eps", "dt", "t_end", "theta", "length"])
+    def test_non_finite_settings_fail_fast(self, name, value):
+        # NaN passes a check written as `x <= 0`: a NaN dt never returned, and
+        # a NaN eps or length read as a StepUnderflow at T = 0
+        with pytest.raises(DomainError, match="finite"):
+            if name == "length":
+                GridSpec(dim=1, length=value, points=64)
+            else:
+                replace(SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0),
+                        **{name: value})
+
     def test_zero_eps_completes_and_matches_linear(self):
         grid = small_grid()
         data = gaussian(grid, grid.length / 40)
@@ -271,26 +295,26 @@ class TestRun:
                         result.maxabs))
         assert len(rows[0]) == 5
 
-    def test_history_at_most_one_row_per_step(self):
-        # rows at t = 0, at most one per accepted step, and at t_end: a short
-        # run with few steps records fewer rows than the 96 targets
+    def test_history_one_row_per_accepted_step(self):
+        # rows at t = 0 and after every accepted step; ten steps of 0.1 sum
+        # to 1 - 2^-53, and the last of them still ends at t_end
         grid = small_grid()
         data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.1, t_end=1.0)
         observed = []
         result = run(config, data, data, grid, 1.0, 0.5,
                      observer=lambda t, _: observed.append(t))
-        steps = len(observed) - 1
         assert result.status == STATUS_COMPLETED
-        assert len(result.times) <= steps + 2
+        assert result.times.tolist() == observed
+        assert len(observed) == 11
         assert result.times[0] == 0.0
         assert result.times[-1] == config.t_end
 
     @pytest.mark.parametrize("eps, status", [(0.5, STATUS_COMPLETED),
                                              (40.0, STATUS_BLOW_UP)])
     def test_history_maxabs_is_the_observed_peak(self, eps, status):
-        # each row's max|u| is the reduction of the field the observer saw
-        # last at or before that row's time (the t_end row: the final field)
+        # row by row, each row's max|u| is the reduction of the field the
+        # observer saw at that row's time
         grid = small_grid()
         data = gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=eps, dt=0.02, t_end=5.0)
@@ -302,8 +326,20 @@ class TestRun:
 
         result = run(config, data, data, grid, 1.0, 0.5, observer=observer)
         assert result.status == status
-        latest = np.searchsorted(seen_t, result.times, side="right") - 1
-        assert result.maxabs.tolist() == [seen_peak[i] for i in latest]
+        assert result.times.tolist() == seen_t
+        assert result.maxabs.tolist() == seen_peak
+
+    def test_history_shows_the_approach_to_blow_up(self):
+        # every step past max|u| = 30 is a row, and the rows' growth rate
+        # rises toward the wave ODE's: measured 0.9074, 0.9174, 0.9277
+        grid = GridSpec(dim=1, length=32 * np.pi, points=128)
+        data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+        config = SolverConfig(p=2.0, eps=0.3, dt=0.02, t_end=2e4)
+        result = run(config, data, data, grid, 1.0, 0.5)
+        assert result.status == STATUS_BLOW_UP
+        ratios = approach_ratios(result, 2.0)
+        assert np.all(np.diff(ratios) > 0) and ratios[-1] < 1.0
+        np.testing.assert_allclose(ratios, [0.907, 0.917, 0.928], rtol=0, atol=1e-3)
 
     def test_observer_cannot_change_the_march(self):
         # the field handed over at t = 0 and after every accepted step is
@@ -336,8 +372,8 @@ class TestRun:
 
     @pytest.mark.parametrize("dt", [0.5, 2.0])
     def test_step_beyond_horizon_records_both_ends(self, dt):
-        # dt >= t_end: the history targets lie within rounding of t_end, and
-        # the single step that reaches t_end is recorded once
+        # dt >= t_end: the single step that reaches t_end is the only row
+        # after t = 0
         grid = small_grid()
         data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=dt, t_end=0.5)
@@ -549,6 +585,13 @@ class TestLifespanAccuracy:
         result, _ = default_run
         assert 1e2 < result.maxabs[-1] <= 2e2
         assert result.lifespan == result.times[-1] + tail_time(result.maxabs[-1], 2.0)
+
+    def test_history_shows_the_approach_to_blow_up(self, default_run):
+        # the default run's rows past max|u| = 30, as in TestRun: measured
+        # 0.9498, 0.9526, 0.9775, closer to 1 than on the coarse grid
+        ratios = approach_ratios(default_run[0], 2.0)
+        assert np.all(np.diff(ratios) > 0) and ratios[-1] < 1.0
+        np.testing.assert_allclose(ratios, [0.950, 0.953, 0.978], rtol=0, atol=1e-3)
 
     def test_step_policy_is_second_order(self, default_run, monkeypatch):
         # scaling the whole step policy by lambda = 1, 1/2, 1/4; measured T =
