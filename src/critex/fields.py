@@ -211,16 +211,17 @@ def _radius_squared(grid: GridSpec) -> np.ndarray:
 
 def make_initial_data(kind: str, grid: GridSpec, gamma: float,
                       amplitude: float = 1.0) -> np.ndarray:
-    """The critical-tail profile A * <x>^-(n/2+gamma) / log(e + |x|), centered
-    in the box: it sits exactly at the integrability edge of the order -gamma
-    norm.  ``kind`` must be ``"critical_tail"``, the only kind."""
+    """The critical-tail profile A * <x>^-(n/2+gamma) / log(e - 1 + <x>),
+    centered in the box: it sits exactly at the integrability edge of the
+    order -gamma norm.  It is a function of <x> = sqrt(1 + |x|^2), so it is
+    analytic in a strip and its spectrum decays exponentially; A is its value
+    at the origin.  ``kind`` must be ``"critical_tail"``, the only kind."""
     if kind != "critical_tail":
         raise DomainError(f"unknown initial data kind {kind!r}")
     if amplitude <= 0:
         raise DomainError(f"critical_tail needs positive amplitude, got {amplitude}")
     if gamma <= 0:
         raise DomainError(f"critical_tail needs positive gamma, got {gamma}")
-    r2 = _radius_squared(grid)
-    bracket = np.sqrt(1.0 + r2)
+    bracket = np.sqrt(1.0 + _radius_squared(grid))
     return amplitude * bracket ** (-(grid.dim / 2.0 + gamma)) \
-        / np.log(np.e + np.sqrt(r2))
+        / np.log(np.e - 1.0 + bracket)

@@ -166,17 +166,17 @@ class TestSweep:
         assert all(math.isinf(r["lifespan"]) for r in report["rows"])
 
     def test_supercritical_mixed(self, tmp_path):
-        # eps = 1 blows up by T = 1.13; the three smaller data complete.  At
+        # eps = 1 blows up by T = 0.96; the three smaller data complete.  At
         # theta = 1e8 the eps = 1 run runs out of step size before max|u|
-        # gets there (T = 1.125382); at the default theta it is BlowUp at
-        # 1.125370
+        # gets there (T = 0.952429); at the default theta it is BlowUp at
+        # 0.952414
         common = dict(dim=1, gamma=0.3, s=1.0, p=5.0, eps_start=1.0,
                       eps_factor=0.1, N=2048, L=100 * np.pi, dt=0.05, tend=20.0,
                       out=str(tmp_path))
         _, default = experiment_lifespan(count=2, **common)
         row, _ = default["rows"]
         assert row["status"] == "BlowUp"
-        assert row["lifespan"] == pytest.approx(1.1254, abs=1e-4)
+        assert row["lifespan"] == pytest.approx(0.9524, abs=1e-4)
         run_dir, report = experiment_lifespan(count=4, theta=1e8, **common)
         assert json.loads((run_dir / "report.json").read_text()) == report
         assert report["regime"] == "Mixed"
@@ -187,7 +187,7 @@ class TestSweep:
         assert report["relative_deviation"] is None
         first, *rest = report["rows"]
         assert first["status"] == "StepUnderflow"
-        assert first["lifespan"] == pytest.approx(1.1254, abs=1e-4)
+        assert first["lifespan"] == pytest.approx(0.9524, abs=1e-4)
         assert all(r["status"] == "Completed" for r in rest)
         assert all(math.isinf(r["lifespan"]) for r in rest)
         lines = (run_dir / "sweep.csv").read_text().splitlines()
