@@ -218,10 +218,11 @@ def make_initial_data(kind: str, grid: GridSpec, gamma: float,
     at the origin.  ``kind`` must be ``"critical_tail"``, the only kind."""
     if kind != "critical_tail":
         raise DomainError(f"unknown initial data kind {kind!r}")
-    if amplitude <= 0:
-        raise DomainError(f"critical_tail needs positive amplitude, got {amplitude}")
-    if gamma <= 0:
-        raise DomainError(f"critical_tail needs positive gamma, got {gamma}")
+    if not 0 < amplitude < np.inf:  # NaN fails it too
+        raise DomainError(
+            f"critical_tail needs positive finite amplitude, got {amplitude}")
+    if not 0 < gamma < np.inf:
+        raise DomainError(f"critical_tail needs positive finite gamma, got {gamma}")
     bracket = np.sqrt(1.0 + _radius_squared(grid))
     return amplitude * bracket ** (-(grid.dim / 2.0 + gamma)) \
         / np.log(np.e - 1.0 + bracket)

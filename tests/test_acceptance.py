@@ -213,7 +213,9 @@ def test_criterion_5_solver_order_and_linear_limit():
 
 def test_criterion_6_lifespan_scaling():
     with criterion(6, "lifespan scaling", 600.0):
-        grid = GridSpec(dim=1, length=3200 * np.pi, points=65536)
+        # dx = 0.61, twice the default 1-D grid's: against N = 65536 every T
+        # here is within 2.5e-5 and the slope within 4e-6
+        grid = GridSpec(dim=1, length=3200 * np.pi, points=16384)
         data = make_initial_data("critical_tail", grid, amplitude=1.0,
                                  gamma=0.5)
         config = SolverConfig(p=2.0, eps=1.0, dt=0.02, t_end=2e6)

@@ -871,4 +871,4 @@ class TestConfigEchoRoundTrip:
                            "2", "--eps", "0.05", "--gamma", "0.5", "--tend",
                            "0.05", "--dt", "0.05")
         config = json.loads((run_dir / "config.json").read_text())
-        assert (config["N"], config["L"]) == (16384, 800.0 * math.pi)
+        assert (config["N"], config["L"]) == (8192, 800.0 * math.pi)

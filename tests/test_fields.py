@@ -249,6 +249,13 @@ class TestInitialData:
                 make_initial_data(kind, grid, gamma=0.5)
         with pytest.raises(DomainError):
             make_initial_data("critical_tail", grid, amplitude=1.0, gamma=-0.5)
+        # a NaN gamma would give NaN data except the value A at the center,
+        # since 1 ** nan is 1
+        for amplitude, gamma in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan),
+                                 (1.0, np.inf)):
+            with pytest.raises(DomainError, match="positive finite"):
+                make_initial_data("critical_tail", grid, amplitude=amplitude,
+                                  gamma=gamma)
 
 
 class TestDealias:
