@@ -18,15 +18,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import tempfile
 import time
+import zipfile
 from collections import Counter
+from contextlib import closing, contextmanager, nullcontext
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import radial, solver
 from .errors import ContractError, CritexError, DomainError, InsufficientDataError
@@ -199,35 +203,69 @@ def exponent_gate(n: float, gamma: float, p: float) -> dict:
             "p_crit": p_crit(n, gamma)}
 
 
-def _read_evolve_run(run_dir: Path) -> tuple:
-    """n, gamma, p, eps, the grid, and the stored times, fields and u0 of an
-    evolve run with snapshots; ContractError names a run it cannot read or
-    whose archive does not match the grid of its config."""
-    path = run_dir / "config.json"
+@contextmanager
+def _reading(run_dir: Path):
+    """Turn a failure to read the evolve run ``run_dir`` into a ContractError
+    that names it."""
     try:
+        yield
+    except CritexError:
+        raise
+    except (OSError, EOFError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile) as error:
+        raise ContractError(f"evolve run {str(run_dir)!r} is unreadable: "
+                            f"{type(error).__name__}: {error}") from None
+
+
+def _read_evolve_run(run_dir: Path) -> tuple:
+    """n, gamma, p, eps, the grid, and the stored times and u0 of an evolve
+    run with snapshots, plus the offset and dtype of the fields in its
+    ``fields.npy``, of which only the header is read (``_stored_fields``
+    streams the rest); ContractError names a run it cannot read or whose
+    archive does not match the grid of its config."""
+    path = run_dir / "config.json"
+    with _reading(run_dir):
         config = json.loads(path.read_text()) if path.is_file() else {}
         if not isinstance(config, dict) or config.get("kind") != "evolve":
             raise ContractError(f"{str(run_dir)!r} is not an evolve run directory")
         if not (run_dir / "snapshots.npz").is_file():
             raise ContractError(f"evolve run {str(run_dir)!r} stored no snapshots")
-        with np.load(run_dir / "snapshots.npz") as archive:
-            stored = archive["times"], archive["fields"], archive["u0"]
+        with zipfile.ZipFile(run_dir / "snapshots.npz") as archive:
+            with archive.open("times.npy") as entry:
+                times = npy.read_array(entry)
+            with archive.open("u0.npy") as entry:
+                u0 = npy.read_array(entry)
+            with archive.open("fields.npy") as entry:
+                read_header = npy.read_array_header_1_0 \
+                    if npy.read_magic(entry) == (1, 0) else npy.read_array_header_2_0
+                shape, fortran, dtype = read_header(entry)
+                offset = entry.tell()
+            stored_bytes = archive.getinfo("fields.npy").file_size - offset
         n, gamma, p = int(config["dim"]), float(config["gamma"]), float(config["p"])
         grid = GridSpec(dim=n, length=float(config["L"]), points=int(config["N"]))
         eps = float(config["eps"])
-    except CritexError:
-        raise
-    except (OSError, EOFError, ValueError, KeyError, TypeError, BadZipFile) as error:
-        raise ContractError(f"evolve run {str(run_dir)!r} is unreadable: "
-                            f"{type(error).__name__}: {error}") from None
-    times, fields, u0 = stored
-    if times.shape != fields.shape[:1] or fields.shape[1:] != grid.shape \
-            or u0.shape != grid.shape:
+    if times.shape != shape[:1] or shape[1:] != grid.shape or u0.shape != grid.shape:
         raise ContractError(
             f"evolve run {str(run_dir)!r} stores {times.shape} times, fields "
-            f"{fields.shape} and u0 {u0.shape}, which do not match its grid "
+            f"{shape} and u0 {u0.shape}, which do not match its grid "
             f"{grid.shape}")
-    return n, gamma, p, eps, grid, times, fields, u0
+    if fortran or stored_bytes != math.prod(shape) * dtype.itemsize:
+        raise ContractError(
+            f"evolve run {str(run_dir)!r} declares fields {shape} of {dtype}"
+            f"{' in Fortran order' if fortran else ''} but stores "
+            f"{stored_bytes} bytes of them")
+    return n, gamma, p, eps, grid, times, u0, offset, dtype
+
+
+def _stored_fields(run_dir: Path, offset: int, dtype: np.dtype, grid: GridSpec,
+                   count: int):
+    """The ``count`` stored fields of an evolve run, read one at a time."""
+    size = math.prod(grid.shape) * dtype.itemsize
+    with _reading(run_dir), zipfile.ZipFile(run_dir / "snapshots.npz") as archive, \
+            archive.open("fields.npy") as entry:
+        entry.seek(offset)
+        for _ in range(count):
+            yield np.frombuffer(entry.read(size), dtype).reshape(grid.shape)
 
 
 def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
@@ -241,41 +279,56 @@ def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
     B_R = (C/p') R^{n+2-2p'} with C calibrated so the two terms touch at
     the first R; reports the contradiction window D_R > B_R per R.  Each
     row's ``samples`` counts the stored times in [0, R^2]; I_R is 0.0 when
-    it is below 2, since one snapshot spans no time interval.
+    it is below 2, since one snapshot spans no time interval.  The fields are
+    read from the archive once, one at a time, so memory holds one field and
+    one phi_R per radius, however many fields the run stored.
     """
     radii = [float(R) for R in radii]
     if not radii:
         raise DomainError("need at least one scaling radius")
     if min(radii) < 1:
         raise DomainError(f"scaling radii must satisfy R >= 1, got {min(radii)}")
-    n, gamma, p, eps, grid, snapshot_times, fields, u0 = _read_evolve_run(Path(run_dir))
+    run_dir = Path(run_dir)
+    n, gamma, p, eps, grid, snapshot_times, u0, offset, dtype = _read_evolve_run(run_dir)
+    horizons = [R ** 2 for R in radii]
+    for R, horizon in zip(radii, horizons):
+        if snapshot_times[-1] < horizon:
+            raise DomainError(
+                f"stored trajectory covers t <= {snapshot_times[-1]!r} but R = {R} "
+                f"needs t in [0, {horizon!r}]")
     radius_sq = _radius_squared(grid)
     cell = grid.cell_volume
     p_conj = conjugate_exponent(p)
     growth = n + 2.0 - 2.0 * p_conj
 
+    phis = [space_weight(radius_sq, R, n) for R in radii]
+    space_integrals = [[] for _ in radii]
+    last = max(horizons)
+    # every field is read, so the archive's CRC check runs to the end
+    with closing(_stored_fields(run_dir, offset, dtype, grid,
+                                len(snapshot_times))) as fields:
+        for field, t in zip(fields, snapshot_times.tolist()):
+            if t > last:
+                continue
+            power = np.abs(field) ** p
+            for horizon, phi, integrals in zip(horizons, phis, space_integrals):
+                if t <= horizon:
+                    integrals.append(float(np.sum(power * phi)) * cell)
+
     calibration = None
     rows = []
-    for R in radii:
-        horizon = R ** 2
-        if snapshot_times[-1] < horizon:
-            raise DomainError(
-                f"stored trajectory covers t <= {snapshot_times[-1]!r} but R = {R} "
-                f"needs t in [0, {horizon!r}]")
-        phi = space_weight(radius_sq, R, n)
+    for R, horizon, phi, integrals in zip(radii, horizons, phis, space_integrals):
         eta = time_cutoff(snapshot_times / horizon)
         mask = snapshot_times <= horizon
-        space_integrals = np.array([
-            float(np.sum(np.abs(fields[j]) ** p * phi)) * cell
-            for j in np.nonzero(mask)[0]])
-        i_r = float(np.trapezoid(space_integrals * eta[mask], x=snapshot_times[mask]))
+        i_r = float(np.trapezoid(np.array(integrals) * eta[mask],
+                                 x=snapshot_times[mask]))
 
         d_r = eps * float(np.sum(2.0 * u0 * phi)) * cell
         if calibration is None:
             calibration = p_conj * d_r / R ** growth
         b_r = calibration / p_conj * R ** growth
         rows.append({"R": R, "I_R": i_r, "D_R": d_r, "B_R": b_r,
-                     "samples": len(space_integrals),
+                     "samples": len(integrals),
                      "contradiction": bool(d_r > b_r)})
 
     return {"exponent_gate": exponent_gate(n, gamma, p), "calibrated_C": calibration,
@@ -355,9 +408,12 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     ``N`` and ``L`` default to the grid of ``dim``.  ``snapshots`` is 0 or
     the number (at least 2) of uniform target times in [0, tend]; the first
     physical field at or past each one is stored for testfn, so a run that
-    stops early stores fewer.  ``curves.csv`` holds one row per accepted
-    step (the step trace of ``run``).  Returns the run directory and the
-    report; ``meta.json`` holds only the run's wall time.
+    stops early stores fewer.  During the march each stored field goes to an
+    anonymous file in the system temp directory; ``_write_snapshots`` then
+    copies them into ``snapshots.npz`` one at a time, so resident memory holds
+    about one field however many are stored.  ``curves.csv`` holds one row
+    per accepted step (the step trace of ``run``).  Returns the run
+    directory and the report; ``meta.json`` holds only the run's wall time.
     """
     N, L = _grid_size(dim, N, L)
     params = dict(locals())
@@ -367,36 +423,59 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     if snapshots and snapshots < 2:
         raise DomainError(f"snapshots must be 0 or at least 2, got {snapshots}")
     targets = np.linspace(0.0, tend, snapshots)
-    fields, stored, passed = np.empty((snapshots, *grid.shape)), [], 0
+    stored, passed = [], 0
 
-    def keep(t: float, u_phys: np.ndarray) -> None:
-        # the field is kept when the count of targets at or before t grows
-        nonlocal passed
-        count = np.searchsorted(targets, t, side="right")
-        if count > passed:
-            fields[len(stored)] = u_phys
-            stored.append(t)
-            passed = count
+    # the stored fields go to an anonymous spool file, not to memory, until
+    # the run directory exists
+    with tempfile.TemporaryFile() if snapshots else nullcontext() as spool:
+        def keep(t: float, u_phys: np.ndarray) -> None:
+            # the field is kept when the count of targets at or before t grows
+            nonlocal passed
+            count = np.searchsorted(targets, t, side="right")
+            if count > passed:
+                spool.write(u_phys)  # its float64 bytes in C order
+                stored.append(t)
+                passed = count
 
-    started = time.perf_counter()
-    result = run(solver_config, data, data, grid, s, gamma,
-                 observer=keep if snapshots else None)
-    wall = time.perf_counter() - started
+        started = time.perf_counter()
+        result = run(solver_config, data, data, grid, s, gamma,
+                     observer=keep if snapshots else None)
+        wall = time.perf_counter() - started
 
-    run_dir = _open_run("evolve", params)
-    write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
-              zip(result.times, result.l2, result.hs, result.hneg, result.maxabs))
-    write_json(run_dir / "meta.json", {"wall_time_s": wall})
-    if snapshots:
-        # stored, not deflated: deflate saves only ~40 % on float64 fields
-        # and took about a third of the time of a 2-D snapshot run
-        np.savez(run_dir / "snapshots.npz", times=np.asarray(stored),
-                 fields=fields[:len(stored)], u0=data)
+        run_dir = _open_run("evolve", params)
+        write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
+                  zip(result.times, result.l2, result.hs, result.hneg, result.maxabs))
+        write_json(run_dir / "meta.json", {"wall_time_s": wall})
+        if snapshots:
+            _write_snapshots(run_dir / "snapshots.npz", stored, spool, data)
     lifespan = result.lifespan if np.isfinite(result.lifespan) else None
     report = {"status": result.status, "blow_up_time": lifespan,
               "weighted_sup": result.weighted_sup}
     write_json(run_dir / "report.json", report)
     return run_dir, report
+
+
+def _write_snapshots(path: Path, times: list[float], spool, u0: np.ndarray) -> None:
+    """Write the archive that ``np.savez(path, times=times, fields=fields,
+    u0=u0)`` writes, byte for byte, where ``spool`` holds the bytes of
+    ``fields``: float64 fields of u0's shape in C order.  The fields are
+    copied one at a time, so memory never holds more than one.
+
+    The entries are stored, not deflated: deflate saves only ~40 % on float64
+    fields and took about a third of the time of a 2-D snapshot run.
+    """
+    header = {**npy.header_data_from_array_1_0(u0), "shape": (len(times), *u0.shape)}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        # np.savez's layout: entries in keyword order, each forced to zip64
+        with archive.open("times.npy", "w", force_zip64=True) as entry:
+            npy.write_array(entry, np.asarray(times))
+        with archive.open("fields.npy", "w", force_zip64=True) as entry:
+            npy.write_array_header_1_0(entry, header)
+            spool.seek(0)
+            for _ in times:
+                entry.write(spool.read(u0.nbytes))
+        with archive.open("u0.npy", "w", force_zip64=True) as entry:
+            npy.write_array(entry, u0)
 
 
 def _grid_size(dim: int, N: int | None, L: float | None) -> tuple[int, float]:

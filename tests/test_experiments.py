@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -378,7 +379,7 @@ class TestRunDirectories:
         def crash(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", crash)
+        monkeypatch.setattr(experiments, "_write_snapshots", crash)
         with pytest.raises(OSError, match="disk full"):
             experiment_evolve(dim=1, N=256, L=30 * np.pi, p=2.0, eps=0.05,
                               gamma=0.4, dt=0.05, tend=0.5, snapshots=4,
@@ -572,3 +573,103 @@ class TestTestFunctionFunctional:
         assert first["B_R"] == pytest.approx(first["D_R"], rel=1e-12)
         # subcritical: beyond the calibration radius the data term wins
         assert report["rows"][1]["contradiction"]
+
+
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of its traced allocations, bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSnapshotStreaming:
+    """evolve spools the stored fields to a file and testfn reads them back one
+    at a time, so neither holds the trajectory, and the archive keeps
+    np.savez's layout byte for byte."""
+
+    GRID = dict(dim=2, N=64, L=20 * np.pi, p=3.0, eps=0.01, gamma=0.5, dt=0.01,
+                tend=1.28)
+    FIELD_BYTES = 64 * 64 * 8
+
+    def test_peak_memory_is_flat_in_the_snapshot_count(self, tmp_path):
+        # 64 targets store 42 fields here; before streaming, the 64-target
+        # peaks exceeded the 4-target ones by 90 fields in evolve and 46 in
+        # testfn, now by 0.0 and 0.1
+        def evolve(snapshots):
+            return experiment_evolve(**self.GRID, snapshots=snapshots,
+                                     out=str(tmp_path))[0]
+
+        def testfn(run_dir):
+            return evaluate_testfn_functional(run_dir, [1.0, 1.1])
+
+        testfn(evolve(4))  # warm the per-grid caches
+        few, few_peak = _traced_peak(lambda: evolve(4))
+        many, many_peak = _traced_peak(lambda: evolve(64))
+        with np.load(many / "snapshots.npz") as archive:
+            assert len(archive["times"]) == 42
+        assert many_peak - few_peak < 4 * self.FIELD_BYTES
+        _, few_peak = _traced_peak(lambda: testfn(few))
+        _, many_peak = _traced_peak(lambda: testfn(many))
+        assert many_peak - few_peak < 4 * self.FIELD_BYTES
+
+    @pytest.mark.parametrize("grid", [
+        dict(dim=1, N=256, L=30 * np.pi, p=2.0, eps=1.0, gamma=0.5, dt=0.05,
+             tend=10.0),
+        dict(GRID, N=32)], ids=["1d-blow-up", "2d"])
+    def test_archive_is_byte_identical_to_savez(self, tmp_path, grid):
+        run_dir, _ = experiment_evolve(**grid, snapshots=8, out=str(tmp_path))
+        with np.load(run_dir / "snapshots.npz") as archive:
+            stored = {key: archive[key] for key in ("times", "fields", "u0")}
+        np.savez(tmp_path / "savez.npz", **stored)
+        assert (run_dir / "snapshots.npz").read_bytes() == \
+            (tmp_path / "savez.npz").read_bytes()
+
+    def _run(self, tmp_path):
+        return experiment_evolve(**dict(self.GRID, N=32), snapshots=8,
+                                 out=str(tmp_path))[0]
+
+    def test_fields_shorter_than_their_header_are_refused(self, tmp_path):
+        run_dir = self._run(tmp_path)
+        path = run_dir / "snapshots.npz"
+        with zipfile.ZipFile(path) as archive:
+            entries = {name: archive.read(name) for name in archive.namelist()}
+        entries["fields.npy"] = entries["fields.npy"][:-32 * 32 * 8]
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in entries.items():
+                archive.writestr(name, data)
+        with pytest.raises(ContractError, match="declares fields") as error:
+            evaluate_testfn_functional(run_dir, [1.0])
+        assert repr(str(run_dir)) in str(error.value)
+
+    def test_damage_past_the_largest_radius_is_refused(self, tmp_path):
+        # the last field lies past R^2 = 1 and enters no row, but the stream
+        # reads it, so the archive's CRC check sees the flipped bit
+        run_dir = self._run(tmp_path)
+        path = run_dir / "snapshots.npz"
+        with np.load(path) as archive:
+            times, last = archive["times"], archive["fields"][-1]
+        assert times[-1] > 1.0
+        raw = bytearray(path.read_bytes())
+        raw[raw.rfind(last.tobytes())] ^= 1
+        path.write_bytes(raw)
+        with pytest.raises(ContractError, match="CRC") as error:
+            evaluate_testfn_functional(run_dir, [1.0])
+        assert repr(str(run_dir)) in str(error.value)
+
+    @pytest.mark.parametrize("layout", ["with-u1", "npy-2.0-headers"])
+    def test_other_archive_layouts_are_read(self, tmp_path, layout):
+        run_dir = self._run(tmp_path)
+        report = evaluate_testfn_functional(run_dir, [1.0, 1.1])
+        with np.load(run_dir / "snapshots.npz") as archive:
+            stored = dict(archive)
+        if layout == "with-u1":
+            # archives written before the u0-only layout also hold u1 = u0
+            np.savez(run_dir / "snapshots.npz", **stored, u1=stored["u0"])
+        else:
+            with zipfile.ZipFile(run_dir / "snapshots.npz", "w") as archive:
+                for key, value in stored.items():
+                    with archive.open(key + ".npy", "w") as entry:
+                        np.lib.format.write_array(entry, value, version=(2, 0))
+        assert evaluate_testfn_functional(run_dir, [1.0, 1.1]) == report
