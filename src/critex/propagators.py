@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
 
@@ -49,6 +48,42 @@ _TAYLOR_TERMS = 30
 _PHI_TERMS = 20
 _PHI1_COEFFS = np.array([1.0 / math.factorial(j + 1) for j in range(_PHI_TERMS)])
 _PHI2_COEFFS = np.array([1.0 / math.factorial(j + 2) for j in range(_PHI_TERMS)])
+
+
+def _horner(coeffs: np.ndarray, x):
+    """sum_j coeffs[j] x^j by Horner's rule, as numpy's polyval evaluates it."""
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
+def _taylor_table() -> np.ndarray:
+    """Coefficients of the Taylor-regime I0, I1 in t and rho = (r t)^2.
+
+    The Taylor coefficients of k01 give b_n = a_n t^n with b_0 = 0, b_1 = t
+    and m (m+1) b_{m+1} = -(m t b_m + rho b_{m-1}), so
+    b_n = sum_j c[n][j] t^(n-2j) rho^j / (n! (n-1)!) with integers
+    c[m+1][j] = -(m c[m][j] + m (m-1) c[m-1][j-1]).  Summed to n = 30,
+    I0 = t sum_n b_n / (n+1) and I1 = t sum_n b_n / ((n+1)(n+2));
+    table[k, 0, j] and table[k, 1, j] are their coefficients of t^k rho^j,
+    each rounded once from the exact rational.
+    """
+    width = (_TAYLOR_TERMS + 1) // 2
+    c = [[0] * width, [1] + [0] * (width - 1)]
+    for m in range(1, _TAYLOR_TERMS):
+        c.append([-(m * c[m][j] + (m * (m - 1) * c[m - 1][j - 1] if j else 0))
+                  for j in range(width)])
+    table = np.zeros((_TAYLOR_TERMS + 2, 2, width))
+    for n in range(1, _TAYLOR_TERMS + 1):
+        scale = math.factorial(n + 1) * math.factorial(n - 1)
+        for j in range((n + 1) // 2):
+            table[n + 1 - 2 * j, 0, j] = c[n][j] / scale
+            table[n + 1 - 2 * j, 1, j] = c[n][j] / (scale * (n + 2))
+    return table
+
+
+_TAYLOR_TABLE = _taylor_table()
 
 
 def kernel_entries(t: float, r: np.ndarray | float):
@@ -70,8 +105,8 @@ def kernel_entries(t: float, r: np.ndarray | float):
     if np.any(near):
         zn = z[near]
         envelope = math.exp(-0.5 * t)
-        g = polyval(zn, _G_COEFFS)
-        h = polyval(zn, _H_COEFFS)
+        g = _horner(_G_COEFFS, zn)
+        h = _horner(_H_COEFFS, zn)
         k01[near] = envelope * t * g
         k00[near] = envelope * (h + 0.5 * t * g)
         k11[near] = envelope * (h - 0.5 * t * g)
@@ -107,8 +142,8 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi1 = np.empty_like(z)
     phi2 = np.empty_like(z)
     small = np.abs(z) < 1.0
-    phi1[small] = polyval(z[small], _PHI1_COEFFS)
-    phi2[small] = polyval(z[small], _PHI2_COEFFS)
+    phi1[small] = _horner(_PHI1_COEFFS, z[small])
+    phi2[small] = _horner(_PHI2_COEFFS, z[small])
     big = z[~small]
     em1 = np.expm1(big)
     phi1[~small] = em1 / big
@@ -129,8 +164,9 @@ def forcing_weights(t: float, r: np.ndarray | float, entries=None):
     equation once and twice gives I0 = (1 - k00)/r^2 and
     I1 = (t - k01 - I0)/(t r^2), which lose every digit as r^2 I1 -> 0, so:
 
-    - t max(1, r) <= 1: Taylor series in t from the recurrence of
-      y'' + y' + r^2 y = 0;
+    - t max(1, r) <= 1: the 30-term Taylor series in t from the recurrence
+      of y'' + y' + r^2 y = 0, as one polynomial in rho = (r t)^2 whose
+      coefficients are polynomials in t (``_taylor_table``), both by Horner;
     - r < 1/4 (t > 1): divided differences of phi_1, phi_2 over the roots,
       I0 = t^2 phi_1[a, b], I1 = t^2 phi_2[a, b] with a, b = lam1 t, lam2 t,
       which reach r = 0 (I0 = t - 1 + e^{-t}) without cancellation;
@@ -147,18 +183,10 @@ def forcing_weights(t: float, r: np.ndarray | float, entries=None):
 
     taylor = t * np.maximum(r, 1.0) <= 1.0
     if np.any(taylor):
-        # b_m = a_m t^m for k01 = sum a_m t^m: b_0 = 0, b_1 = t and
-        # m (m+1) b_{m+1} = -(m t b_m + r^2 t^2 b_{m-1})
-        rt_sq = (r[taylor] * t) ** 2
-        prev, cur = np.zeros_like(rt_sq), np.full_like(rt_sq, t)
-        s0 = cur / 2.0
-        s1 = cur / 6.0
-        for m in range(1, _TAYLOR_TERMS):
-            prev, cur = cur, -(m * t * cur + rt_sq * prev) / (m * (m + 1))
-            s0 = s0 + cur / (m + 2)
-            s1 = s1 + cur / ((m + 2) * (m + 3))
-        i0[taylor] = t * s0
-        i1[taylor] = t * s1
+        rho = (r[taylor] * t) ** 2
+        i0_coeffs, i1_coeffs = _horner(_TAYLOR_TABLE, t)
+        i0[taylor] = _horner(i0_coeffs, rho)
+        i1[taylor] = _horner(i1_coeffs, rho)
 
     roots = ~taylor & (r < 0.25)
     if np.any(roots):

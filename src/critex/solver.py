@@ -17,9 +17,13 @@ damping time, so the scheme is globally second order and the step length
 is limited by how fast the forcing changes, not by the kernel.  Spectra are
 stored in the real half-spectrum layout of ``fields``, so every physical
 field is real by construction and the recorded norms carry the Hermitian
-multiplicity weights.  Fundamental solutions are never materialized in
-physical space; propagation is multiplier application, which is their
-exact action.
+multiplicity weights.  The forcing lives on the band that the two-thirds
+dealiasing rule keeps along the last axis, modes 0..K-1 with K = N//3 + 1:
+its transforms, weights and increments are band-shaped and add into
+``[..., :K]``, and the physical field is read from the band alone, while
+the linear terms propagate the whole layout.  Fundamental solutions are
+never materialized in physical space; propagation is multiplier
+application, which is their exact action.
 
 Near blow-up the peak follows the wave ODE y'' = y^p (the forcing outgrows
 the damping and the Laplacian), whose remaining time from y = u with
@@ -50,8 +54,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .fields import (GridSpec, SpectrumField, _forward_coeffs, _irfftn, _rfftn,
-                     _unitary_scales, dealias_mask, hermitian_weight, norm_weights,
+from .fields import (GridSpec, SpectrumField, _forward_coeffs, _unitary_scales,
+                     dealias_mask, hermitian_weight, norm_weights,
                      wavenumber_magnitude, weighted_norms)
 from .propagators import forcing_weights, kernel_entries
 
@@ -159,50 +163,83 @@ def nonlinearity(u: np.ndarray, p: float) -> np.ndarray:
     return np.abs(u) ** p
 
 
+def _band_width(grid: GridSpec) -> int:
+    """K = N//3 + 1: the last-axis modes 0..K-1 that the two-thirds rule keeps."""
+    return grid.points // 3 + 1
+
+
 @lru_cache(maxsize=8)
 def _folds(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The dealias mask times the forward and the inverse unitary scale.
+    """The dealias mask times the forward and the inverse unitary scale, on
+    the forcing band, shape (N,)*(dim-1) + (K,).
 
     Steps use the unnormalized transforms; the first fold takes raw
-    ``_rfftn`` output to masked unitary coefficients and rides on the
+    ``_band_forward`` output to masked unitary coefficients and rides on the
     forcing weights, the second takes unitary coefficients to the masked
-    input of the raw ``_irfftn``.  So no step rescales or masks a whole
-    array, and the linear terms stay unmasked.
+    input of the raw inverse in ``_physical``.  So no step rescales or masks
+    a whole array, and the linear terms stay on the full half layout.
     """
-    mask = dealias_mask(grid)
+    band = dealias_mask(grid)[..., :_band_width(grid)]
     forward_scale, inverse_scale = _unitary_scales(grid)
-    return mask * forward_scale, mask * inverse_scale
+    return band * forward_scale, band * inverse_scale
 
 
 @lru_cache(maxsize=8)
-def _distinct_radii(grid: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
+def _distinct_radii(grid: GridSpec) -> tuple:
     """The distinct values of |k| and the index map that spreads them back
-    over the half layout; |k| itself and None where no radius repeats, as on
-    every 1-D grid.  At 256^2, 6,843 distinct radii stand for 33,024 modes."""
+    over the half layout, then the index of those the forcing band holds and
+    the map that spreads them over the band.  Where no radius repeats, as on
+    every 1-D grid, that is |k| itself with no maps, and the band is a slice.
+    At 256^2, 6,843 distinct radii stand for 33,024 modes, and 5,980 of them
+    for the band's 22,016."""
     kmag = wavenumber_magnitude(grid)
+    width = _band_width(grid)
     radii, index = np.unique(kmag, return_inverse=True)
     if radii.size == kmag.size:
-        return kmag, None
-    return radii, index.reshape(kmag.shape)
+        return kmag, None, np.s_[..., :width], None
+    index = index.reshape(kmag.shape)
+    in_band = index[..., :width]
+    band, band_index = np.unique(in_band, return_inverse=True)
+    return radii, index, band, band_index.reshape(in_band.shape)
 
 
 @lru_cache(maxsize=_CACHED_STEPS)
 def _entries(grid: GridSpec, h: float) -> tuple:
-    """Linear entries k00..k11 at h, then the forcing weights I0, I1, J0, J1,
-    each folded with mask and scale.  Each entry is a function of |k|, so it
-    is formed once per distinct radius and then spread over the layout."""
-    radii, index = _distinct_radii(grid)
+    """Linear entries k00..k11 at h on the half layout, then the forcing
+    weights I0, I1, J0, J1 on the band, each folded with mask and scale.
+    Each entry is a function of |k|, so it is formed once per distinct
+    radius and then spread over its layout; the forcing weights only for
+    the radii that the band holds."""
+    radii, index, band, band_index = _distinct_radii(grid)
     linear = kernel_entries(h, radii)
-    entries = linear + forcing_weights(h, radii, entries=linear)
+    forcing = forcing_weights(h, radii[band], entries=tuple(e[band] for e in linear))
     if index is not None:
-        entries = tuple(entry[index] for entry in entries)
+        linear = tuple(entry[index] for entry in linear)
+        forcing = tuple(weight[band_index] for weight in forcing)
     forcing_fold = _folds(grid)[0]
-    return entries[:4] + tuple(w * forcing_fold for w in entries[4:])
+    return linear + tuple(w * forcing_fold for w in forcing)
+
+
+def _band_forward(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Unnormalized forward transform of real samples onto the forcing band:
+    ``_rfftn(samples, grid)[..., :K]`` bit for bit, in rfftn's axis order,
+    with no leading-axis passes over the dropped last-axis modes."""
+    coeffs = np.fft.rfft(samples, axis=-1)[..., :_band_width(grid)]
+    for axis in reversed(grid.axes[:-1]):
+        coeffs = np.fft.fft(coeffs, axis=axis)
+    return coeffs
 
 
 def _physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Dealiased physical samples of unitary coefficients."""
-    return _irfftn(coeffs * _folds(grid)[1], grid)
+    """Dealiased physical samples of unitary coefficients on the half layout.
+
+    Only the band is read; irfft zero-pads the dropped last-axis modes, as
+    the mask did, so this is the masked ``_irfftn`` bit for bit.
+    """
+    band = coeffs[..., :_band_width(grid)] * _folds(grid)[1]
+    for axis in grid.axes[:-1]:
+        band = np.fft.ifft(band, axis=axis, norm="forward")
+    return np.fft.irfft(band, n=grid.points, axis=-1, norm="forward")
 
 
 def _history_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
@@ -218,11 +255,15 @@ def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
     new coefficient pair plus the new physical field and its max amplitude.
     """
     k00, k01, k10, k11, i0, i1, j0, j1 = _entries(grid, h)
-    forcing0 = _rfftn(nonlinearity(u_phys, p), grid)
-    predictor = k00 * u + k01 * ut + i0 * forcing0
-    jump = _rfftn(nonlinearity(_physical(predictor, grid), p), grid) - forcing0
-    u_new = predictor + i1 * jump
-    ut_new = k10 * u + k11 * ut + j0 * forcing0 + j1 * jump
+    band = np.s_[..., :_band_width(grid)]
+    forcing0 = _band_forward(nonlinearity(u_phys, p), grid)
+    u_new = k00 * u + k01 * ut
+    u_new[band] += i0 * forcing0  # the predictor
+    jump = _band_forward(nonlinearity(_physical(u_new, grid), p), grid) - forcing0
+    u_new[band] += i1 * jump
+    ut_new = k10 * u + k11 * ut
+    ut_new[band] += j0 * forcing0
+    ut_new[band] += j1 * jump
     u_new_phys = _physical(u_new, grid)
     return u_new, ut_new, u_new_phys, float(np.max(np.abs(u_new_phys)))
 

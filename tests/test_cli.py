@@ -87,6 +87,20 @@ def test_import_path_has_no_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_loads_neither_numpy_polynomial_nor_scipy():
+    # the run path needs only numpy's core, fft and the stdlib
+    script = (
+        "import sys\n"
+        "import critex.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestProbeCommand:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "probe", "--t", "1.0", "--r", "0.0")

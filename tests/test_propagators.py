@@ -1,12 +1,13 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from critex import (DomainError, GridSpec, forcing_weights, heat_multiplier,
-                    kernel_entries, transform_forward)
+                    kernel_entries, propagators, transform_forward)
 from critex.cli import probe
 from critex.fields import axis_coordinates, wavenumber_magnitude
 
@@ -225,8 +226,35 @@ def _weights_oracle(h, r):
     return i0, i1 / h
 
 
+def _taylor_recurrence(h, r):
+    """The forcing weights' 30-term Taylor recurrence in exact rational
+    arithmetic on the float inputs: b_0 = 0, b_1 = h,
+    m (m+1) b_{m+1} = -(m h b_m + (r h)^2 b_{m-1}),
+    I0 = h sum b_n / (n+1) and I1 = h sum b_n / ((n+1)(n+2)), n = 1..30."""
+    h = Fraction(h)
+    rho = (Fraction(r) * h) ** 2
+    prev, cur = Fraction(0), h
+    s0, s1 = cur / 2, cur / 6
+    for m in range(1, 30):
+        prev, cur = cur, -(m * h * cur + rho * prev) / (m * (m + 1))
+        s0 += cur / (m + 2)
+        s1 += cur / ((m + 2) * (m + 3))
+    return float(h * s0), float(h * s1)
+
+
 class TestForcingWeights:
     RADII = (0.0, 1e-3, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 20.0)
+
+    def test_taylor_regime_within_4_ulp_of_its_recurrence(self):
+        # every r with h max(r, 1) <= 1; measured at most 2 ulp
+        for h in np.geomspace(1e-8, 1.0, 9).tolist():
+            radii = np.concatenate(([0.0], np.linspace(0.0, 1.0 / h, 12)[1:],
+                                    np.geomspace(1e-3, 1.0 / h, 8)))
+            radii = radii[h * np.maximum(radii, 1.0) <= 1.0]
+            i0, i1, _, _ = forcing_weights(h, radii)
+            for k, r in enumerate(radii.tolist()):
+                for got, want in zip((i0[k], i1[k]), _taylor_recurrence(h, r)):
+                    assert abs(got - want) <= 4 * np.spacing(abs(want)), (h, r)
 
     @pytest.mark.parametrize("r", RADII)
     def test_matches_quadrature(self, r):
@@ -253,6 +281,15 @@ class TestForcingWeights:
             for k in range(4):
                 np.testing.assert_array_equal(together[k],
                                               [w[k][0] for w in alone])
+
+    def test_horner_is_polyval_bit_for_bit(self):
+        from numpy.polynomial.polynomial import polyval
+        for coeffs, reach in ((propagators._G_COEFFS, propagators.SERIES_THRESHOLD),
+                              (propagators._H_COEFFS, propagators.SERIES_THRESHOLD),
+                              (propagators._PHI1_COEFFS, 1.0),
+                              (propagators._PHI2_COEFFS, 1.0)):
+            z = np.linspace(-reach, reach, 5000)
+            assert propagators._horner(coeffs, z).tobytes() == polyval(z, coeffs).tobytes()
 
     def test_entries_argument_is_kernel_entries(self):
         r = np.geomspace(1e-3, 30.0, 50)

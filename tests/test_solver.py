@@ -10,9 +10,9 @@ from critex import (ContractError, DomainError, GridSpec, Regime, RegimeParams,
                     SolverConfig, SpectrumField, State, classify_regime,
                     make_initial_data, nonlinearity, p_crit, p_fujita, run,
                     solver, step, transform_forward, transform_inverse)
-from critex.fields import (_forward_coeffs, _radius_squared, dealias_mask,
-                           hermitian_weight, norm_weights, wavenumber_magnitude,
-                           weighted_norms)
+from critex.fields import (_forward_coeffs, _irfftn, _radius_squared, _rfftn,
+                           _unitary_scales, dealias_mask, hermitian_weight,
+                           norm_weights, wavenumber_magnitude, weighted_norms)
 from critex.propagators import forcing_weights, kernel_entries
 from critex.solver import (DEFAULT_GRIDS, STATUS_BLOW_UP, STATUS_COMPLETED,
                            STATUS_STEP_UNDERFLOW, linear_reference, tail_time)
@@ -182,6 +182,104 @@ class TestForcingStructure:
         _, k01, _, _ = kernel_entries(h, wavenumber_magnitude(grid))
         increment = transform_inverse(SpectrumField(grid, h * k01 * coeffs))
         assert increment.min() >= -1e-10 * increment.max()
+
+
+# At L = 10 pi the band's radii are 0, 0.2, 0.4, ..., so the steps below reach
+# every regime of forcing_weights: the Taylor series (h = 0.02, and radii up
+# to 1/h at h = 0.7), the divided differences (r = 0.2 at h = 3 and 40) and
+# the closed forms (the rest).
+BAND_GRIDS = [GridSpec(dim=1, length=10 * np.pi, points=64),
+              GridSpec(dim=2, length=10 * np.pi, points=16),
+              GridSpec(dim=3, length=10 * np.pi, points=8)]
+BAND_STEPS = (0.02, 0.7, 3.0, 40.0)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def band_width(grid):
+    return grid.points // 3 + 1
+
+
+def full_layout(band, grid):
+    """Band-shaped weights with the dropped last-axis modes set to zero."""
+    full = np.zeros(grid.spectrum_shape, dtype=band.dtype)
+    full[..., :band_width(grid)] = band
+    return full
+
+
+def masked_physical(coeffs, grid):
+    """The full-layout dealiased inverse: mask and scale, then ``_irfftn``."""
+    return _irfftn(coeffs * (dealias_mask(grid) * _unitary_scales(grid)[1]), grid)
+
+
+def full_layout_step(u, ut, u_phys, p, grid, entries):
+    """One ETD2 step with the forcing on the whole half layout, masked by its
+    weights and ``masked_physical``: the reference the band step matches."""
+    k00, k01, k10, k11, i0, i1, j0, j1 = entries
+    forcing0 = _rfftn(nonlinearity(u_phys, p), grid)
+    predictor = k00 * u + k01 * ut + i0 * forcing0
+    jump = _rfftn(nonlinearity(masked_physical(predictor, grid), p), grid) - forcing0
+    u_new = predictor + i1 * jump
+    ut_new = k10 * u + k11 * ut + j0 * forcing0 + j1 * jump
+    u_new_phys = masked_physical(u_new, grid)
+    return u_new, ut_new, u_new_phys, float(np.max(np.abs(u_new_phys)))
+
+
+def random_coeffs(grid, seed):
+    rng = np.random.default_rng(seed)
+    return _forward_coeffs(rng.standard_normal(grid.shape), grid)
+
+
+class TestForcingBand:
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_forward_is_the_band_of_rfftn(self, grid):
+        samples = np.random.default_rng(1).standard_normal(grid.shape)
+        assert_bitwise(solver._band_forward(samples, grid),
+                       _rfftn(samples, grid)[..., :band_width(grid)])
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_physical_is_the_masked_inverse(self, grid):
+        coeffs = random_coeffs(grid, 2)
+        assert_bitwise(solver._physical(coeffs, grid), masked_physical(coeffs, grid))
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"{g.dim}d")
+    @pytest.mark.parametrize("h", BAND_STEPS)
+    def test_step_matches_the_full_layout_step(self, grid, h):
+        u, ut = random_coeffs(grid, 3), random_coeffs(grid, 4)
+        u_phys = solver._physical(u, grid)
+        entries = solver._entries(grid, h)
+        full = entries[:4] + tuple(full_layout(w, grid) for w in entries[4:])
+        band = solver._step_arrays(u, ut, u_phys, h, 2.0, grid)
+        reference = full_layout_step(u, ut, u_phys, 2.0, grid, full)
+        # past the band the full-layout step added 0 * forcing, which turns
+        # the -0.0 imaginary part of a self-conjugate mode into +0.0
+        for got, want in zip(band[:2], reference[:2]):
+            assert_bitwise(got[..., :band_width(grid)], want[..., :band_width(grid)])
+            np.testing.assert_array_equal(got, want)
+        assert_bitwise(band[2], reference[2])
+        assert band[3] == reference[3]
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_forcing_weights_see_only_the_band_radii(self, monkeypatch, grid):
+        # each distinct |k| of the band once, and no radius outside it
+        seen = []
+
+        def recording(h, r, *args, **kwargs):
+            seen.append(np.array(r))
+            return forcing_weights(h, r, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "forcing_weights", recording)
+        solver._entries.cache_clear()
+        entries = solver._entries(grid, 0.7)
+        solver._entries.cache_clear()
+        band = wavenumber_magnitude(grid)[..., :band_width(grid)]
+        [radii] = seen
+        np.testing.assert_array_equal(np.sort(radii), np.unique(band))
+        assert all(w.shape == band.shape for w in entries[4:])
+        assert all(k.shape == grid.spectrum_shape for k in entries[:4])
 
 
 class TestEnergy:
