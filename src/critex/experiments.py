@@ -24,7 +24,7 @@ import tempfile
 import time
 import zipfile
 from collections import Counter
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -203,69 +203,67 @@ def exponent_gate(n: float, gamma: float, p: float) -> dict:
             "p_crit": p_crit(n, gamma)}
 
 
+# what a damaged run directory raises while it is read
+_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+
+
 @contextmanager
-def _reading(run_dir: Path):
-    """Turn a failure to read the evolve run ``run_dir`` into a ContractError
-    that names it."""
-    try:
-        yield
-    except CritexError:
-        raise
-    except (OSError, EOFError, ValueError, KeyError, TypeError,
-            zipfile.BadZipFile) as error:
-        raise ContractError(f"evolve run {str(run_dir)!r} is unreadable: "
-                            f"{type(error).__name__}: {error}") from None
+def _evolve_run(run_dir: Path):
+    """Yield n, gamma, p, eps, the grid, the stored times and u0 of the evolve
+    run ``run_dir``, and an iterator that reads its stored fields one at a
+    time from ``snapshots.npz``, opened once.  Every check on ``config.json``
+    and the archive's headers runs first.  ContractError names a run that is
+    unreadable, also in a field read, or whose archive does not match the grid
+    of its config; an error raised in the caller's block passes unchanged."""
+    def unreadable(error: Exception) -> ContractError:
+        return ContractError(f"evolve run {str(run_dir)!r} is unreadable: "
+                             f"{type(error).__name__}: {error}")
 
-
-def _read_evolve_run(run_dir: Path) -> tuple:
-    """n, gamma, p, eps, the grid, and the stored times and u0 of an evolve
-    run with snapshots, plus the offset and dtype of the fields in its
-    ``fields.npy``, of which only the header is read (``_stored_fields``
-    streams the rest); ContractError names a run it cannot read or whose
-    archive does not match the grid of its config."""
     path = run_dir / "config.json"
-    with _reading(run_dir):
-        config = json.loads(path.read_text()) if path.is_file() else {}
-        if not isinstance(config, dict) or config.get("kind") != "evolve":
-            raise ContractError(f"{str(run_dir)!r} is not an evolve run directory")
-        if not (run_dir / "snapshots.npz").is_file():
-            raise ContractError(f"evolve run {str(run_dir)!r} stored no snapshots")
-        with zipfile.ZipFile(run_dir / "snapshots.npz") as archive:
+    with ExitStack() as stack:
+        try:
+            config = json.loads(path.read_text()) if path.is_file() else {}
+            if not isinstance(config, dict) or config.get("kind") != "evolve":
+                raise ContractError(f"{str(run_dir)!r} is not an evolve run directory")
+            if not (run_dir / "snapshots.npz").is_file():
+                raise ContractError(f"evolve run {str(run_dir)!r} stored no snapshots")
+            archive = stack.enter_context(zipfile.ZipFile(run_dir / "snapshots.npz"))
             with archive.open("times.npy") as entry:
                 times = npy.read_array(entry)
             with archive.open("u0.npy") as entry:
                 u0 = npy.read_array(entry)
-            with archive.open("fields.npy") as entry:
-                read_header = npy.read_array_header_1_0 \
-                    if npy.read_magic(entry) == (1, 0) else npy.read_array_header_2_0
-                shape, fortran, dtype = read_header(entry)
-                offset = entry.tell()
-            stored_bytes = archive.getinfo("fields.npy").file_size - offset
-        n, gamma, p = int(config["dim"]), float(config["gamma"]), float(config["p"])
-        grid = GridSpec(dim=n, length=float(config["L"]), points=int(config["N"]))
-        eps = float(config["eps"])
-    if times.shape != shape[:1] or shape[1:] != grid.shape or u0.shape != grid.shape:
-        raise ContractError(
-            f"evolve run {str(run_dir)!r} stores {times.shape} times, fields "
-            f"{shape} and u0 {u0.shape}, which do not match its grid "
-            f"{grid.shape}")
-    if fortran or stored_bytes != math.prod(shape) * dtype.itemsize:
-        raise ContractError(
-            f"evolve run {str(run_dir)!r} declares fields {shape} of {dtype}"
-            f"{' in Fortran order' if fortran else ''} but stores "
-            f"{stored_bytes} bytes of them")
-    return n, gamma, p, eps, grid, times, u0, offset, dtype
+            entry = stack.enter_context(archive.open("fields.npy"))
+            read_header = npy.read_array_header_1_0 \
+                if npy.read_magic(entry) == (1, 0) else npy.read_array_header_2_0
+            shape, fortran, dtype = read_header(entry)
+            stored_bytes = archive.getinfo("fields.npy").file_size - entry.tell()
+            n, gamma, p = int(config["dim"]), float(config["gamma"]), float(config["p"])
+            grid = GridSpec(dim=n, length=float(config["L"]), points=int(config["N"]))
+            eps = float(config["eps"])
+        except CritexError:
+            raise
+        except _READ_ERRORS as error:
+            raise unreadable(error) from None
+        if times.shape != shape[:1] or shape[1:] != grid.shape or u0.shape != grid.shape:
+            raise ContractError(
+                f"evolve run {str(run_dir)!r} stores {times.shape} times, fields "
+                f"{shape} and u0 {u0.shape}, which do not match its grid "
+                f"{grid.shape}")
+        size = math.prod(grid.shape) * dtype.itemsize
+        if fortran or stored_bytes != len(times) * size:
+            raise ContractError(
+                f"evolve run {str(run_dir)!r} declares fields {shape} of {dtype}"
+                f"{' in Fortran order' if fortran else ''} but stores "
+                f"{stored_bytes} bytes of them")
 
+        def fields():
+            try:
+                for _ in times:
+                    yield np.frombuffer(entry.read(size), dtype).reshape(grid.shape)
+            except _READ_ERRORS as error:
+                raise unreadable(error) from None
 
-def _stored_fields(run_dir: Path, offset: int, dtype: np.dtype, grid: GridSpec,
-                   count: int):
-    """The ``count`` stored fields of an evolve run, read one at a time."""
-    size = math.prod(grid.shape) * dtype.itemsize
-    with _reading(run_dir), zipfile.ZipFile(run_dir / "snapshots.npz") as archive, \
-            archive.open("fields.npy") as entry:
-        entry.seek(offset)
-        for _ in range(count):
-            yield np.frombuffer(entry.read(size), dtype).reshape(grid.shape)
+        yield n, gamma, p, eps, grid, times, u0, fields()
 
 
 def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
@@ -273,40 +271,35 @@ def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
 
     The cutoffs are phi_R = ``space_weight`` and eta_R = ``time_cutoff(t/R^2)``,
     with n = dim, gamma and p read from the run's ``config.json``.  For each
-    R >= 1 computes  I_R = Int Int |u|^p phi_R eta_R dx dt  by trapezoid over
-    the stored physical snapshots, the data term D_R = eps * Int (u0 + u1)
-    phi_R dx with evolve's u1 = u0, and the bound term
-    B_R = (C/p') R^{n+2-2p'} with C calibrated so the two terms touch at
-    the first R; reports the contradiction window D_R > B_R per R.  Each
-    row's ``samples`` counts the stored times in [0, R^2]; I_R is 0.0 when
-    it is below 2, since one snapshot spans no time interval.  The fields are
-    read from the archive once, one at a time, so memory holds one field and
-    one phi_R per radius, however many fields the run stored.
+    R in [1, inf) computes  I_R = Int Int |u|^p phi_R eta_R dx dt  by
+    trapezoid over the stored physical snapshots and the data term
+    D_R = eps * Int (u0 + u1) phi_R dx with evolve's u1 = u0.  Returns
+    ``{"exponent_gate", "rows"}``, one row ``{R, I_R, D_R, samples}`` per R:
+    ``samples`` counts the stored times in [0, R^2], and I_R is 0.0 when it is
+    below 2, since one snapshot spans no time interval.  The fields are read
+    one at a time, so memory holds one field and one phi_R per radius,
+    however many fields the run stored.
     """
     radii = [float(R) for R in radii]
     if not radii:
         raise DomainError("need at least one scaling radius")
-    if min(radii) < 1:
-        raise DomainError(f"scaling radii must satisfy R >= 1, got {min(radii)}")
-    run_dir = Path(run_dir)
-    n, gamma, p, eps, grid, snapshot_times, u0, offset, dtype = _read_evolve_run(run_dir)
+    if not all(1 <= R < math.inf for R in radii):
+        raise DomainError(f"scaling radii must be finite and satisfy R >= 1, "
+                          f"got {radii}")
     horizons = [R ** 2 for R in radii]
-    for R, horizon in zip(radii, horizons):
-        if snapshot_times[-1] < horizon:
-            raise DomainError(
-                f"stored trajectory covers t <= {snapshot_times[-1]!r} but R = {R} "
-                f"needs t in [0, {horizon!r}]")
-    radius_sq = _radius_squared(grid)
-    cell = grid.cell_volume
-    p_conj = conjugate_exponent(p)
-    growth = n + 2.0 - 2.0 * p_conj
-
-    phis = [space_weight(radius_sq, R, n) for R in radii]
-    space_integrals = [[] for _ in radii]
-    last = max(horizons)
-    # every field is read, so the archive's CRC check runs to the end
-    with closing(_stored_fields(run_dir, offset, dtype, grid,
-                                len(snapshot_times))) as fields:
+    with _evolve_run(Path(run_dir)) as (n, gamma, p, eps, grid, snapshot_times, u0,
+                                        fields):
+        for R, horizon in zip(radii, horizons):
+            if snapshot_times[-1] < horizon:
+                raise DomainError(
+                    f"stored trajectory covers t <= {snapshot_times[-1]!r} but "
+                    f"R = {R} needs t in [0, {horizon!r}]")
+        radius_sq = _radius_squared(grid)
+        cell = grid.cell_volume
+        phis = [space_weight(radius_sq, R, n) for R in radii]
+        space_integrals = [[] for _ in radii]
+        last = max(horizons)
+        # every field is read, so the archive's CRC check runs to the end
         for field, t in zip(fields, snapshot_times.tolist()):
             if t > last:
                 continue
@@ -315,24 +308,15 @@ def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
                 if t <= horizon:
                     integrals.append(float(np.sum(power * phi)) * cell)
 
-    calibration = None
     rows = []
     for R, horizon, phi, integrals in zip(radii, horizons, phis, space_integrals):
         eta = time_cutoff(snapshot_times / horizon)
         mask = snapshot_times <= horizon
         i_r = float(np.trapezoid(np.array(integrals) * eta[mask],
                                  x=snapshot_times[mask]))
-
         d_r = eps * float(np.sum(2.0 * u0 * phi)) * cell
-        if calibration is None:
-            calibration = p_conj * d_r / R ** growth
-        b_r = calibration / p_conj * R ** growth
-        rows.append({"R": R, "I_R": i_r, "D_R": d_r, "B_R": b_r,
-                     "samples": len(integrals),
-                     "contradiction": bool(d_r > b_r)})
-
-    return {"exponent_gate": exponent_gate(n, gamma, p), "calibrated_C": calibration,
-            "rows": rows}
+        rows.append({"R": R, "I_R": i_r, "D_R": d_r, "samples": len(integrals)})
+    return {"exponent_gate": exponent_gate(n, gamma, p), "rows": rows}
 
 
 # ---------------------------------------------------------------------------

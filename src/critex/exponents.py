@@ -66,14 +66,15 @@ class RegimeParams:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"dimension n must be >= 1, got {self.n}")
-        if self.gamma <= 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not (0 < self.s <= 1):
+        # chained comparisons, so nan fails each check
+        if not 1 <= self.n < math.inf:
+            raise DomainError(f"dimension n must be finite and >= 1, got {self.n}")
+        if not 0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.s <= 1:
             raise DomainError(f"regularity s must lie in (0, 1], got {self.s}")
-        if self.p <= 1:
-            raise DomainError(f"exponent p must exceed 1, got {self.p}")
+        if not 1 < self.p < math.inf:
+            raise DomainError(f"exponent p must be finite and exceed 1, got {self.p}")
 
 
 class RegimeVerdict(NamedTuple):

@@ -558,21 +558,29 @@ class TestTestFunctionFunctional:
             evaluate_testfn_functional(run_dir, [3.0])
 
     def test_spec_validation(self, tmp_path):
-        with pytest.raises(DomainError, match="R >= 1"):
-            evaluate_testfn_functional(tmp_path, [2.0, 0.5])
+        # refused before any file is read: tmp_path is no evolve run
+        for radii in ([2.0, 0.5], [math.nan], [math.inf], [2.0, math.nan]):
+            with pytest.raises(DomainError, match="R >= 1"):
+                evaluate_testfn_functional(tmp_path, radii)
         with pytest.raises(DomainError):
             evaluate_testfn_functional(tmp_path, [])
 
-    def test_calibration_touches_first_radius(self, tmp_path):
-        run_dir, _ = experiment_evolve(dim=1, N=512, L=50 * np.pi, p=2.0,
-                                       eps=0.1, gamma=0.5, s=1.0, dt=0.05,
-                                       tend=10.0, snapshots=32,
-                                       out=str(tmp_path))
-        report = evaluate_testfn_functional(run_dir, [1.5, 3.0])
-        first = report["rows"][0]
-        assert first["B_R"] == pytest.approx(first["D_R"], rel=1e-12)
-        # subcritical: beyond the calibration radius the data term wins
-        assert report["rows"][1]["contradiction"]
+    def test_supercritical_report_holds_only_measurements(self, tmp_path):
+        # p = 3.1 > p_crit(1, 0.5) = 3: the run completes and the exponent
+        # gate fails, so the report may hold no blow-up verdict, only what
+        # was measured
+        run_dir, evolved = experiment_evolve(dim=1, N=512, L=50 * np.pi, p=3.1,
+                                             eps=0.05, gamma=0.5, dt=0.02,
+                                             tend=260.0, snapshots=64,
+                                             out=str(tmp_path))
+        assert evolved["status"] == "Completed"
+        report = evaluate_testfn_functional(run_dir, [2.0, 4.0, 8.0, 16.0])
+        assert set(report) == {"exponent_gate", "rows"}
+        assert all(set(row) == {"R", "I_R", "D_R", "samples"}
+                   for row in report["rows"])
+        assert not report["exponent_gate"]["holds"]
+        data_terms = [row["D_R"] for row in report["rows"]]
+        assert all(b > a for a, b in zip(data_terms, data_terms[1:]))
 
 
 def _traced_peak(call):
@@ -642,6 +650,29 @@ class TestSnapshotStreaming:
         with pytest.raises(ContractError, match="declares fields") as error:
             evaluate_testfn_functional(run_dir, [1.0])
         assert repr(str(run_dir)) in str(error.value)
+
+    def test_fields_in_fortran_order_are_refused(self, tmp_path):
+        run_dir = self._run(tmp_path)
+        with np.load(run_dir / "snapshots.npz") as archive:
+            stored = dict(archive)
+        stored["fields"] = np.asfortranarray(stored["fields"])
+        np.savez(run_dir / "snapshots.npz", **stored)
+        with pytest.raises(ContractError, match="in Fortran order") as error:
+            evaluate_testfn_functional(run_dir, [1.0])
+        assert repr(str(run_dir)) in str(error.value)
+
+    def test_archive_is_opened_once(self, tmp_path, monkeypatch):
+        run_dir = self._run(tmp_path)
+        opened = []
+        real = zipfile.ZipFile
+
+        def counting(*args, **kwargs):
+            opened.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zipfile, "ZipFile", counting)
+        evaluate_testfn_functional(run_dir, [1.0, 1.1])
+        assert opened == [run_dir / "snapshots.npz"]
 
     def test_damage_past_the_largest_radius_is_refused(self, tmp_path):
         # the last field lies past R^2 = 1 and enters no row, but the stream

@@ -6,6 +6,7 @@ import pytest
 from critex import (DomainError, Regime, RegimeParams, alpha0, classify_regime,
                     conjugate_exponent, gamma_tilde, lifespan_exponent, p_crit,
                     p_fujita, sharp_lifespan_admissible)
+from critex.experiments import emit_phase_diagram
 
 
 def random_admissible(rng, count):
@@ -189,6 +190,24 @@ class TestClassifier:
             RegimeParams(2, 0.2, 1.5, 2)
         with pytest.raises(DomainError):
             RegimeParams(2, 0.2, 1, 0.9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, message", [("n", "dimension n"),
+                                                ("gamma", "gamma must"),
+                                                ("p", "exponent p")])
+    def test_params_refuse_non_finite(self, field, message, value):
+        # a nan p would otherwise classify as GlobalExistence, a nan n or gamma
+        # as OutsideTheory
+        params = {"n": 2.0, "gamma": 0.5, "s": 1.0, "p": 2.0, field: value}
+        with pytest.raises(DomainError, match=message):
+            RegimeParams(**params)
+
+    @pytest.mark.parametrize("gammas, ps", [([math.nan], [2.0]),
+                                            ([0.5], [math.nan])])
+    def test_phase_diagram_refuses_nan(self, gammas, ps):
+        # a nan cell would otherwise give a row whose p_crit is nan
+        with pytest.raises(DomainError):
+            emit_phase_diagram(2, 1, gammas, ps)
 
 
 class TestSharpLifespanAdmissible:
