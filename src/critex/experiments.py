@@ -167,10 +167,9 @@ def run_diffusion_suite(n: float, gamma: float, s: float, profile: str,
 # lifespan sweep
 # ---------------------------------------------------------------------------
 
-def _lifespan_point(grid: GridSpec, config: SolverConfig, gamma: float,
-                    s: float) -> dict:
+def _lifespan_point(grid: GridSpec, config: SolverConfig, gamma: float) -> dict:
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=gamma)
-    result = run(config, data, data, grid, s, gamma)
+    result = run(config, data, data, grid)
     return {"eps": config.eps, "lifespan": result.lifespan, "status": result.status}
 
 
@@ -283,8 +282,8 @@ def evaluate_testfn_functional(run_dir: str | Path, radii: list[float]) -> dict:
     radii = [float(R) for R in radii]
     if not radii:
         raise DomainError("need at least one scaling radius")
-    if not all(1 <= R < math.inf for R in radii):
-        raise DomainError(f"scaling radii must be finite and satisfy R >= 1, "
+    if not all(1 <= R and R * R < math.inf for R in radii):  # R^2 is a horizon
+        raise DomainError(f"scaling radii must satisfy R >= 1 with R^2 finite, "
                           f"got {radii}")
     horizons = [R ** 2 for R in radii]
     with _evolve_run(Path(run_dir)) as (n, gamma, p, eps, grid, snapshot_times, u0,
@@ -396,14 +395,15 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     anonymous file in the system temp directory; ``_write_snapshots`` then
     copies them into ``snapshots.npz`` one at a time, so resident memory holds
     about one field however many are stored.  ``curves.csv`` holds one row
-    per accepted step (the step trace of ``run``).  Returns the run
-    directory and the report; ``meta.json`` holds only the run's wall time.
+    per accepted step, ``run``'s step trace with ``solver.NormHistory``'s
+    norms.  Returns the run directory and report; ``meta.json`` has its wall time.
     """
     N, L = _grid_size(dim, N, L)
     params = dict(locals())
     grid = GridSpec(dim=dim, length=L, points=N)
     solver_config = SolverConfig(p=p, eps=eps, dt=dt, t_end=tend, theta=theta)
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=gamma)
+    history = solver.NormHistory(grid, s, gamma)
     if snapshots and snapshots < 2:
         raise DomainError(f"snapshots must be 0 or at least 2, got {snapshots}")
     targets = np.linspace(0.0, tend, snapshots)
@@ -412,29 +412,29 @@ def experiment_evolve(dim: int, N: int | None, L: float | None, p: float,
     # the stored fields go to an anonymous spool file, not to memory, until
     # the run directory exists
     with tempfile.TemporaryFile() if snapshots else nullcontext() as spool:
-        def keep(t: float, u_phys: np.ndarray) -> None:
+        def observe(t: float, fields: tuple) -> None:
             # the field is kept when the count of targets at or before t grows
             nonlocal passed
+            history(t, fields)
             count = np.searchsorted(targets, t, side="right")
             if count > passed:
-                spool.write(u_phys)  # its float64 bytes in C order
+                spool.write(fields[1])  # its float64 bytes in C order
                 stored.append(t)
                 passed = count
 
         started = time.perf_counter()
-        result = run(solver_config, data, data, grid, s, gamma,
-                     observer=keep if snapshots else None)
+        result = run(solver_config, data, data, grid, observer=observe)
         wall = time.perf_counter() - started
+        lifespan = result.lifespan if np.isfinite(result.lifespan) else None
+        report = {"status": result.status, "blow_up_time": lifespan,
+                  "weighted_sup": history.weighted_sup()}
 
         run_dir = _open_run("evolve", params)
         write_csv(run_dir / "curves.csv", ["t", "l2", "hs", "hneg", "maxabs"],
-                  zip(result.times, result.l2, result.hs, result.hneg, result.maxabs))
+                  zip(*np.asarray(history.rows).T, result.maxabs))
         write_json(run_dir / "meta.json", {"wall_time_s": wall})
         if snapshots:
             _write_snapshots(run_dir / "snapshots.npz", stored, spool, data)
-    lifespan = result.lifespan if np.isfinite(result.lifespan) else None
-    report = {"status": result.status, "blow_up_time": lifespan,
-              "weighted_sup": result.weighted_sup}
     write_json(run_dir / "report.json", report)
     return run_dir, report
 
@@ -524,7 +524,7 @@ def experiment_lifespan(dim: int, gamma: float, s: float, p: float,
         raise DomainError(f"workers must be at least 1, got {workers}")
 
     point = partial(_lifespan_point, GridSpec(dim=dim, length=L, points=N),
-                    gamma=gamma, s=s)
+                    gamma=gamma)
     if workers > 1:
         # imported here: workers = 1 never pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor

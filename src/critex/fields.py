@@ -50,11 +50,11 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise DomainError(f"grid dimension must be 1, 2 or 3, got {self.dim}")
-        if not 0 < self.length < np.inf:  # NaN fails it too
-            raise DomainError(f"box edge {self.length} must be positive and finite")
         n = self.points
         if n < 8 or n & (n - 1) != 0:
             raise DomainError(f"points per axis must be a power of two >= 8, got {n}")
+        if not 0 < self.spacing < np.inf:  # NaN fails it, and so does L/N = 0
+            raise DomainError(f"box edge {self.length} must give a positive finite L/N")
 
     @property
     def shape(self) -> tuple[int, ...]:

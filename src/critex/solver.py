@@ -16,14 +16,13 @@ weights are exact for any step, including steps far longer than the unit
 damping time, so the scheme is globally second order and the step length
 is limited by how fast the forcing changes, not by the kernel.  Spectra are
 stored in the real half-spectrum layout of ``fields``, so every physical
-field is real by construction and the recorded norms carry the Hermitian
-multiplicity weights.  The forcing lives on the band that the two-thirds
-dealiasing rule keeps along the last axis, modes 0..K-1 with K = N//3 + 1:
-its transforms, weights and increments are band-shaped and add into
-``[..., :K]``, and the physical field is read from the band alone, while
-the linear terms propagate the whole layout.  Fundamental solutions are
-never materialized in physical space; propagation is multiplier
-application, which is their exact action.
+field is real by construction.  The forcing lives on the band that the
+two-thirds dealiasing rule keeps along the last axis, modes 0..K-1 with
+K = N//3 + 1: its transforms, weights and increments are band-shaped and
+add into ``[..., :K]``, and the physical field is read from the band
+alone, while the linear terms propagate the whole layout.  Fundamental
+solutions are never materialized in physical space; propagation is
+multiplier application, which is their exact action.
 
 Near blow-up the peak follows the wave ODE y'' = y^p (the forcing outgrows
 the damping and the Laplacian), whose remaining time from y = u with
@@ -41,8 +40,8 @@ finite lifespan, so lifespan sweeps count it as blow-up: gradient
 steepening beyond resolvable steps is numerically indistinguishable from
 divergence.
 
-A run's history is its step trace, one row at t = 0 and one per accepted
-step, so the approach to blow-up is in the history.
+A run returns its outcome and its step trace, so the approach to blow-up
+is in the trace; the norms are an observer's, ``NormHistory``.
 """
 
 from __future__ import annotations
@@ -137,18 +136,41 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one evolution: status, lifespan, norm history, weighted sup."""
+    """Outcome of one evolution: status, lifespan (inf when Completed) and
+    the step trace."""
 
     status: str
-    # inf when Completed, else the last accepted step's time, plus
-    # tail_time(max|u|, p) when BlowUp
     lifespan: float
     times: np.ndarray
-    l2: np.ndarray
-    hs: np.ndarray
-    hneg: np.ndarray
     maxabs: np.ndarray
-    weighted_sup: float
+
+
+class NormHistory:
+    """Observer that records rows (t, L2, H^s, H^-gamma) from the coefficients
+    it sees.  H^-gamma sums over k != 0: the forcing injects mean, and on the
+    torus the zero mode would mask the decaying part."""
+
+    def __init__(self, grid: GridSpec, s: float, gamma: float):
+        if not (0 < s <= 1):
+            raise DomainError(f"regularity s must lie in (0, 1], got {s}")
+        if not 0 < gamma < math.inf:  # NaN fails it too
+            raise DomainError(f"gamma must be positive and finite, got {gamma}")
+        self.s, self.gamma = s, gamma
+        self.weights = (hermitian_weight(grid), norm_weights(grid, s),
+                        norm_weights(grid, -gamma))
+        self.rows = []
+
+    def __call__(self, t: float, fields: tuple) -> None:
+        self.rows.append((t, *weighted_norms(fields[0], self.weights)))
+
+    def weighted_sup(self) -> float:
+        """Largest (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs} of a row."""
+        try:
+            return max(0.0, *((1.0 + t) ** (self.gamma / 2.0) * l2
+                              + (1.0 + t) ** ((self.s + self.gamma) / 2.0) * hs
+                              for t, l2, hs, _ in self.rows))
+        except OverflowError:
+            raise DomainError(f"weighted sup overflows at gamma {self.gamma}") from None
 
 
 def tail_time(peak: float, p: float) -> float:
@@ -242,11 +264,6 @@ def _physical(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.irfft(band, n=grid.points, axis=-1, norm="forward")
 
 
-def _history_weights(grid: GridSpec, s: float, gamma: float) -> tuple:
-    """Weights of the recorded L2, H^s and H^-gamma norms."""
-    return hermitian_weight(grid), norm_weights(grid, s), norm_weights(grid, -gamma)
-
-
 def _step_arrays(u: np.ndarray, ut: np.ndarray, u_phys: np.ndarray, h: float,
                  p: float, grid: GridSpec):
     """One ETD2 step on raw coefficient arrays.
@@ -284,44 +301,36 @@ def step(state: State, h: float, config: SolverConfig) -> State:
 
 
 def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
-        s: float, gamma: float, observer=None) -> RunResult:
+        observer=None) -> RunResult:
     """March the semilinear problem with data (eps*u0, eps*u1) to t_end.
 
-    Records a history row (t, L2, H^s, H^-gamma, max|u|) at t = 0 and after
-    every accepted step, the last one included: the step that ends at t_end,
-    the first past theta, or the last before StepUnderflow.  So the step
-    sizes are np.diff(times), and the rows grow with the accepted steps,
-    O(log t) for a run that completes; max|u| is the step's own reduction.
-    The run stops as BlowUp at the first accepted step whose max|u| exceeds
-    theta, and its lifespan is that step's time plus ``tail_time(max|u|, p)``;
-    a StepUnderflow run's lifespan is its last accepted step's time.  The
-    weighted sup (1+t)^{gamma/2} |u|_{L2} + (1+t)^{(s+gamma)/2} |u|_{Hs} is
-    the largest over the rows.  The negative-order column is computed over
-    k != 0: the forcing injects mean, and on the torus the single zero mode
-    is excluded rather than letting it mask the decaying part.
+    Records a trace row (t, max|u|) at t = 0 and after every accepted step,
+    the last one included: the step that ends at t_end, the first past
+    theta, or the last before StepUnderflow.  So the step sizes are
+    np.diff(times), and the rows grow with the accepted steps, O(log t) for
+    a run that completes; max|u| is the step's own reduction.  The run stops
+    as BlowUp at the first accepted step whose max|u| exceeds theta, and its
+    lifespan is that step's time plus ``tail_time(max|u|, p)``; a
+    StepUnderflow run's lifespan is its last accepted step's time.
 
-    ``observer(t, u_phys)``, when given, is called at each row's time with
-    the current physical field (read-only view).
+    ``observer(t, (u_hat, u_phys))``, when given, is called at each row's
+    time with the unitary half-spectrum coefficients and the dealiased
+    physical field, both read-only.
     """
-    if not (0 < s <= 1):
-        raise DomainError(f"regularity s must lie in (0, 1], got {s}")
-    if not 0 < gamma < math.inf:  # NaN fails it too
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     if u0.shape != grid.shape or u1.shape != grid.shape:
         raise ContractError("initial data shape does not match the grid")
 
-    weights = _history_weights(grid, s, gamma)
     u = _forward_coeffs(config.eps * u0, grid)
     ut = _forward_coeffs(config.eps * u1, grid)
     u_phys = _physical(u, grid)
 
     max_cur = float(np.max(np.abs(u_phys)))
-    rows = [(0.0, *weighted_norms(u, weights), max_cur)]
+    rows = [(0.0, max_cur)]
     if observer is not None:
-        u_phys.flags.writeable = False
-        observer(0.0, u_phys)
+        u.flags.writeable = u_phys.flags.writeable = False
+        observer(0.0, (u, u_phys))
 
     growth, quiet_ratio, cap_fraction = (2.0 ** _STEP_SCALE, 1.02 ** _STEP_SCALE,
                                          _STEP_SCALE / 16.0)
@@ -351,10 +360,10 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
         if t >= config.t_end * (1.0 - 1e-12):  # steps that sum to t_end round short
             t = config.t_end
         u, ut, u_phys, max_cur = u_new, ut_new, u_new_phys, max_new
-        rows.append((t, *weighted_norms(u, weights), max_cur))
+        rows.append((t, max_cur))
         if observer is not None:
-            u_phys.flags.writeable = False
-            observer(t, u_phys)
+            u.flags.writeable = u_phys.flags.writeable = False
+            observer(t, (u, u_phys))
         streak += 1
         h_cap = max(config.dt, t * cap_fraction)
         if streak >= _REGROWTH_STREAK and h < h_cap and quiet:
@@ -367,27 +376,18 @@ def run(config: SolverConfig, u0: np.ndarray, u1: np.ndarray, grid: GridSpec,
             break
 
     lifespan = math.inf if status == STATUS_COMPLETED else t + tail
-
-    weighted_sup = max(0.0, *((1.0 + t) ** (gamma / 2.0) * l2
-                              + (1.0 + t) ** ((s + gamma) / 2.0) * hs
-                              for t, l2, hs, _, _ in rows))
-    times, l2, hs, hneg, maxabs = map(np.asarray, zip(*rows))
-    return RunResult(status=status, lifespan=lifespan, times=times, l2=l2, hs=hs,
-                     hneg=hneg, maxabs=maxabs, weighted_sup=weighted_sup)
+    times, maxabs = map(np.asarray, zip(*rows))
+    return RunResult(status=status, lifespan=lifespan, times=times, maxabs=maxabs)
 
 
 def linear_reference(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, eps: float,
-                     times: np.ndarray, s: float, gamma: float):
-    """Norm history of the linear flow at the given times (same norms as run).
-
-    Returns arrays (l2, hs, hneg) for the data pair (eps*u0, eps*u1).
-    """
-    weights = _history_weights(grid, s, gamma)
+                     times: np.ndarray, observer) -> None:
+    """Call ``observer(t, (u_hat, u_phys))`` as ``run`` does, with fresh arrays
+    of the linear flow of the data (eps*u0, eps*u1) at each of ``times``."""
     kmag = wavenumber_magnitude(grid)
     u = _forward_coeffs(eps * np.asarray(u0, dtype=float), grid)
     ut = _forward_coeffs(eps * np.asarray(u1, dtype=float), grid)
-    rows = []
     for t in np.asarray(times, dtype=float).tolist():
         k00, k01, _, _ = kernel_entries(t, kmag)
-        rows.append(weighted_norms(k00 * u + k01 * ut, weights))
-    return tuple(np.asarray(rows, dtype=float).reshape(-1, 3).T.copy())
+        flow = k00 * u + k01 * ut
+        observer(t, (flow, _physical(flow, grid)))

@@ -21,7 +21,8 @@ from critex.experiments import (emit_phase_diagram, exponent_gate,
                                 experiment_evolve, experiment_testfn)
 from critex.radial import (evolve_damped, evolve_heat, fit_rate,
                            power_law_profile, sphere_surface)
-from critex.solver import STATUS_BLOW_UP, STATUS_COMPLETED, linear_reference
+from critex.solver import (STATUS_BLOW_UP, STATUS_COMPLETED, NormHistory,
+                           linear_reference)
 from test_solver import gaussian
 
 
@@ -187,13 +188,15 @@ def test_criterion_5_solver_order_and_linear_limit():
         data = make_initial_data("critical_tail", grid, amplitude=1.0,
                                  gamma=0.5)
         config = SolverConfig(p=2.0, eps=1e-8, dt=0.01, t_end=10.0)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        history, linear = NormHistory(grid, 1.0, 0.5), NormHistory(grid, 1.0, 0.5)
+        result = run(config, data, data, grid, observer=history)
         assert result.status == STATUS_COMPLETED
-        lin_l2, lin_hs, _ = linear_reference(data, data, grid, 1e-8,
-                                             result.times, 1.0, 0.5)
+        linear_reference(data, data, grid, 1e-8, result.times, linear)
+        _, l2, hs, _ = np.asarray(history.rows).T
+        _, lin_l2, lin_hs, _ = np.asarray(linear.rows).T
         mask = lin_l2 > 0
-        assert np.max(np.abs(result.l2[mask] - lin_l2[mask]) / lin_l2[mask]) < 1e-6
-        assert np.max(np.abs(result.hs[mask] - lin_hs[mask]) / lin_hs[mask]) < 1e-6
+        assert np.max(np.abs(l2[mask] - lin_l2[mask]) / lin_l2[mask]) < 1e-6
+        assert np.max(np.abs(hs[mask] - lin_hs[mask]) / lin_hs[mask]) < 1e-6
 
         # zero-mode reduction against an adaptive ODE oracle
         grid = GridSpec(dim=1, length=2 * np.pi, points=8)
@@ -223,8 +226,7 @@ def test_criterion_6_lifespan_scaling():
         schedule = [7e-3 * factor ** i for i in range(8)]
         lifespans = []
         for eps in schedule:
-            lifespan = run(replace(config, eps=eps), data, data, grid, 1.0,
-                           0.5).lifespan
+            lifespan = run(replace(config, eps=eps), data, data, grid).lifespan
             assert math.isfinite(lifespan)
             lifespans.append(lifespan)
         # monotone nonincreasing in eps (schedule is decreasing in eps)
@@ -236,8 +238,7 @@ def test_criterion_6_lifespan_scaling():
         # threshold robustness at the largest eps
         wide = SolverConfig(p=2.0, eps=1.0, dt=0.02, t_end=2e6, theta=1e16)
         t_narrow = lifespans[0]
-        t_wide = run(replace(wide, eps=schedule[0]), data, data, grid, 1.0,
-                     0.5).lifespan
+        t_wide = run(replace(wide, eps=schedule[0]), data, data, grid).lifespan
         assert abs(t_wide - t_narrow) / t_narrow < 0.02
 
 
@@ -252,21 +253,25 @@ def test_criterion_7_regime_consistency():
         # supercritical small data: completes, finite weighted sup, no loss
         # of decay against the linearized flow
         config = SolverConfig(p=5.0, eps=1e-3, dt=0.05, t_end=1000.0)
-        result = run(config, data, data, grid, 1.0, gamma)
+        history = NormHistory(grid, 1.0, gamma)
+        linear_history = NormHistory(grid, 1.0, gamma)
+        result = run(config, data, data, grid, observer=history)
         assert result.status == STATUS_COMPLETED
-        assert math.isfinite(result.weighted_sup) and result.weighted_sup > 0
-        lin_l2, lin_hs, _ = linear_reference(data, data, grid, 1e-3,
-                                             result.times, 1.0, gamma)
+        weighted_sup = history.weighted_sup()
+        assert math.isfinite(weighted_sup) and weighted_sup > 0
+        linear_reference(data, data, grid, 1e-3, result.times, linear_history)
+        _, l2, hs, _ = np.asarray(history.rows).T
+        _, lin_l2, lin_hs, _ = np.asarray(linear_history.rows).T
         window = (10.0, 1000.0)
         mask = result.times > 0
-        for nonlinear, linear in ((result.l2, lin_l2), (result.hs, lin_hs)):
+        for nonlinear, linear in ((l2, lin_l2), (hs, lin_hs)):
             fit_nl = fit_rate(result.times[mask], nonlinear[mask], window)
             fit_lin = fit_rate(result.times[mask], linear[mask], window)
             assert abs(fit_nl["slope"] - fit_lin["slope"]) <= 0.05
 
         # subcritical moderate data blows up
         config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=500.0)
-        result = run(config, data, data, grid, 1.0, gamma)
+        result = run(config, data, data, grid)
         assert result.status == STATUS_BLOW_UP
         assert result.lifespan < 500.0
 

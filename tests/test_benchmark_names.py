@@ -7,7 +7,9 @@ directly (``solver.step``, ``fields.transform_inverse``, ...), and
 ``perfbench/workloads.py`` generates CLI argv.  A renamed, privatised or
 deleted name, parameter or flag would leave a metric with no spans or crash
 a benchmark run, so run.py and probes.py are read here from the source with
-``ast``, and only workloads.py (stdlib only) is loaded from its path.
+``ast``, and only workloads.py and spans.py (stdlib only) are loaded from
+their paths.  ``spans.py`` chains an observer of two positional arguments
+into ``solver.run``, so the observer contract is pinned here as well.
 """
 
 import ast
@@ -17,14 +19,16 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from critex import CritexError, cli
+from critex import CritexError, GridSpec, SolverConfig, cli, make_initial_data, solver
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 RUN_PY = PERFBENCH / "run.py"
 PROBES_PY = PERFBENCH / "probes.py"
 WORKLOADS_PY = PERFBENCH / "workloads.py"
+SPANS_PY = PERFBENCH / "spans.py"
 
 
 def call_time_names() -> list[str]:
@@ -96,9 +100,8 @@ def test_probe_arguments_bind():
             raise AssertionError(f"{name} at probes.py:{call.lineno}: {error}")
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS_PY)
+def load_perfbench(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     try:
@@ -108,7 +111,27 @@ def load_workloads():
     return module
 
 
-WORKLOADS = load_workloads()
+WORKLOADS = load_perfbench(WORKLOADS_PY)
+SPANS = load_perfbench(SPANS_PY)
+
+
+@pytest.mark.parametrize("eps, status", [(0.05, solver.STATUS_COMPLETED),
+                                         (2.0, solver.STATUS_BLOW_UP)])
+def test_traced_run_times_every_step_and_keeps_the_observer(eps, status):
+    # the tracer binds run's arguments by name and forwards exactly
+    # (t, second argument) to the caller's observer
+    grid = GridSpec(dim=1, length=16 * np.pi, points=64)
+    data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
+    config = SolverConfig(p=2.0, eps=eps, dt=0.05, t_end=20.0)
+    tracer = SPANS.Tracer()
+    history = solver.NormHistory(grid, 1.0, 0.5)
+    result = tracer.wrap_run(solver.run)(config, data, data, grid, observer=history)
+    assert result.status == status
+    steps = SPANS.step_sizes(tracer.spans)
+    assert len(steps) == len(result.times) - 1 > 1
+    assert steps == np.diff(result.times).tolist()
+    assert [row[0] for row in history.rows] == result.times.tolist()
+    assert [span[0] for span in tracer.spans].count(SPANS.TAIL) == 1
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -422,10 +422,36 @@ class TestRunInputFailsFast:
         ("--N", "100", "points per axis must be a power of two"),
         ("--s", "2", "regularity s must lie in (0, 1], got 2.0"),
         ("--s", "0", "regularity s must lie in (0, 1], got 0.0"),
+        # (1 + t)^(gamma/2) overflows a float at every t > 0
+        ("--gamma", "1e308", "weighted sup overflows at gamma 1e+308"),
+        # L/N rounds to 0, where np.fft.fftfreq would divide by it
+        ("--L", "5e-324", "box edge 5e-324 must give a positive finite L/N"),
     ])
     def test_evolve_bad_input(self, capsys, tmp_path, flag, value, message):
         err = self.fails(capsys, tmp_path, *EVOLVE_FLAGS, flag, value)
         assert message in err
+
+    def test_lifespan_subnormal_box_edge(self, capsys, tmp_path):
+        err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",
+                         "--gamma", "0.5", "--s", "1", "--p", "2",
+                         "--eps-start", "1", "--N", "256", "--L", "5e-324")
+        assert "box edge 5e-324 must give a positive finite L/N" in err
+
+    def test_lifespan_huge_gamma_runs(self, capsys, tmp_path):
+        # a sweep forms no weighted sup, so gamma = 1e308 cannot overflow one:
+        # p_crit rounds to 1, the sweep is supercritical and completes
+        code, out, err = run_cli(capsys, "lifespan", "--dim", "1",
+                                 "--gamma", "1e308", "--s", "1", "--p", "2",
+                                 "--eps-start", "1", "--count", "2", "--N", "256",
+                                 "--L", "50", "--tend", "10",
+                                 "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["regime"] in ("GlobalExistence", "Mixed")
+
+    def test_testfn_radius_whose_square_overflows(self, capsys, tmp_path):
+        err = self.fails(capsys, tmp_path, "testfn", "--run",
+                         str(tmp_path / "absent"), "--R", "2,1e200")
+        assert "scaling radii must satisfy R >= 1 with R^2 finite" in err
 
     def test_lifespan_bad_eps_factor(self, capsys, tmp_path):
         err = self.fails(capsys, tmp_path, "lifespan", "--dim", "1",

@@ -395,9 +395,9 @@ class TestRunDirectories:
         seen = {}
 
         def observed_run(*args, observer, **kwargs):
-            def observe(t, u_phys):
-                seen[t] = u_phys.copy()
-                observer(t, u_phys)
+            def observe(t, fields):
+                seen[t] = fields[1].copy()
+                observer(t, fields)
             return solver.run(*args, observer=observe, **kwargs)
 
         monkeypatch.setattr(experiments, "run", observed_run)
@@ -564,6 +564,16 @@ class TestTestFunctionFunctional:
                 evaluate_testfn_functional(tmp_path, radii)
         with pytest.raises(DomainError):
             evaluate_testfn_functional(tmp_path, [])
+
+    def test_radius_whose_square_overflows(self, tmp_path):
+        # R^2 is the time horizon; past about 1.34e154 it is no float, and
+        # R ** 2 raised OverflowError.  A square that fits passes the check
+        # and meets the run directory's own
+        for radii in ([1e200], [2.0, 1e308], [1.35e154]):
+            with pytest.raises(DomainError, match="R >= 1 with R\\^2 finite"):
+                evaluate_testfn_functional(tmp_path, radii)
+        with pytest.raises(ContractError, match="is not an evolve run"):
+            evaluate_testfn_functional(tmp_path, [1e154])
 
     def test_supercritical_report_holds_only_measurements(self, tmp_path):
         # p = 3.1 > p_crit(1, 0.5) = 3: the run completes and the exponent

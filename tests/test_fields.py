@@ -27,6 +27,14 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(dim=1, length=1.0, points=4)   # too small
 
+    @pytest.mark.parametrize("length", [5e-324, 2e-323])
+    def test_spacing_that_rounds_to_zero(self, length):
+        # a subnormal edge over 16 points is 0.0, and fftfreq divides by it
+        assert length / 16 == 0.0
+        with pytest.raises(DomainError, match="must give a positive finite L/N"):
+            GridSpec(dim=1, length=length, points=16)
+        assert GridSpec(dim=1, length=length * 2 ** 10, points=16).spacing > 0
+
     def test_coordinates_centered(self):
         grid = GridSpec(dim=1, length=8.0, points=16)
         x = axis_coordinates(grid)

@@ -15,7 +15,8 @@ from critex.fields import (_forward_coeffs, _irfftn, _radius_squared, _rfftn,
                            norm_weights, wavenumber_magnitude, weighted_norms)
 from critex.propagators import forcing_weights, kernel_entries
 from critex.solver import (DEFAULT_GRIDS, STATUS_BLOW_UP, STATUS_COMPLETED,
-                           STATUS_STEP_UNDERFLOW, linear_reference, tail_time)
+                           STATUS_STEP_UNDERFLOW, NormHistory, linear_reference,
+                           tail_time)
 
 
 def small_grid(points=256, length=16 * np.pi):
@@ -325,23 +326,27 @@ class TestRun:
         grid = small_grid()
         data = gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.0, dt=0.05, t_end=2.0)
-        result = run(config, data, np.zeros(grid.shape), grid, 1.0, 0.5)
+        history = NormHistory(grid, 1.0, 0.5)
+        result = run(config, data, np.zeros(grid.shape), grid, observer=history)
         assert result.status == STATUS_COMPLETED
         assert result.lifespan == math.inf
-        np.testing.assert_array_equal(result.l2, np.zeros_like(result.l2))
+        _, l2, _, _ = np.asarray(history.rows).T
+        np.testing.assert_array_equal(l2, np.zeros_like(l2))
 
     def test_linear_limit_small_eps(self):
         # eps = 1e-8, p = 2: nonlinear run tracks the linear flow to 1e-6
         grid = GridSpec(dim=1, length=100 * np.pi, points=1024)
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         config = SolverConfig(p=2.0, eps=1e-8, dt=0.01, t_end=10.0)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        history, linear = NormHistory(grid, 1.0, 0.5), NormHistory(grid, 1.0, 0.5)
+        result = run(config, data, data, grid, observer=history)
         assert result.status == STATUS_COMPLETED
-        lin_l2, lin_hs, _ = linear_reference(data, data, grid, 1e-8,
-                                             result.times, 1.0, 0.5)
+        linear_reference(data, data, grid, 1e-8, result.times, linear)
+        _, l2, hs, _ = np.asarray(history.rows).T
+        _, lin_l2, lin_hs, _ = np.asarray(linear.rows).T
         mask = lin_l2 > 0
-        rel_l2 = np.max(np.abs(result.l2[mask] - lin_l2[mask]) / lin_l2[mask])
-        rel_hs = np.max(np.abs(result.hs[mask] - lin_hs[mask]) / lin_hs[mask])
+        rel_l2 = np.max(np.abs(l2[mask] - lin_l2[mask]) / lin_l2[mask])
+        rel_hs = np.max(np.abs(hs[mask] - lin_hs[mask]) / lin_hs[mask])
         assert rel_l2 < 1e-6
         assert rel_hs < 1e-6
 
@@ -359,8 +364,11 @@ class TestRun:
         for t in times:
             k00, k01, _, _ = kernel_entries(float(t), wavenumber_magnitude(grid))
             rows.append(weighted_norms(k00 * u + k01 * ut, weights))
-        got = linear_reference(u0, u1, grid, 0.3, times, 1.0, 0.5)
-        for norms, expected in zip(got, np.array(rows).T):
+        history = NormHistory(grid, 1.0, 0.5)
+        linear_reference(u0, u1, grid, 0.3, times, history)
+        got = np.asarray(history.rows).T
+        np.testing.assert_array_equal(got[0], times)
+        for norms, expected in zip(got[1:], np.array(rows).T):
             np.testing.assert_array_equal(norms, expected)
 
     def test_history_uses_public_norms(self):
@@ -369,28 +377,33 @@ class TestRun:
             u0 = gaussian(grid, grid.length / 40)
             u0 -= u0.mean()
             config = SolverConfig(p=2.0, eps=0.3, dt=0.02, t_end=0.1)
-            result = run(config, u0, u0, grid, 0.75, 0.5)
+            history = NormHistory(grid, 0.75, 0.5)
+            run(config, u0, u0, grid, observer=history)
             field = transform_forward(config.eps * u0, grid)
             l2, hs, hneg = weighted_norms(field.coeffs, [
                 hermitian_weight(grid), norm_weights(grid, 0.75),
                 norm_weights(grid, -0.5)])
-            assert result.l2[0] == l2
-            assert result.hs[0] == hs
-            assert result.hneg[0] == hneg
+            _, first_l2, first_hs, first_hneg = history.rows[0]
+            assert first_l2 == l2
+            assert first_hs == hs
+            assert first_hneg == hneg
 
     def test_history_structure(self):
         grid = small_grid()
         data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.02, t_end=5.0)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        history = NormHistory(grid, 1.0, 0.5)
+        result = run(config, data, data, grid, observer=history)
         assert result.status == STATUS_COMPLETED
         assert np.all(np.diff(result.times) > 0)
         assert result.times[0] == 0.0
         assert result.times[-1] == 5.0
         assert len(result.times) >= 64
-        assert math.isfinite(result.weighted_sup)
-        rows = list(zip(result.times, result.l2, result.hs, result.hneg,
-                        result.maxabs))
+        assert math.isfinite(history.weighted_sup())
+        # evolve's curves.csv rows: the norm history beside the step trace
+        times, l2, hs, hneg = np.asarray(history.rows).T
+        np.testing.assert_array_equal(times, result.times)
+        rows = list(zip(times, l2, hs, hneg, result.maxabs))
         assert len(rows[0]) == 5
 
     def test_history_one_row_per_accepted_step(self):
@@ -400,7 +413,7 @@ class TestRun:
         data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.1, t_end=1.0)
         observed = []
-        result = run(config, data, data, grid, 1.0, 0.5,
+        result = run(config, data, data, grid,
                      observer=lambda t, _: observed.append(t))
         assert result.status == STATUS_COMPLETED
         assert result.times.tolist() == observed
@@ -418,11 +431,11 @@ class TestRun:
         config = SolverConfig(p=2.0, eps=eps, dt=0.02, t_end=5.0)
         seen_t, seen_peak = [], []
 
-        def observer(t, u_phys):
+        def observer(t, fields):
             seen_t.append(t)
-            seen_peak.append(float(np.max(np.abs(u_phys))))
+            seen_peak.append(float(np.max(np.abs(fields[1]))))
 
-        result = run(config, data, data, grid, 1.0, 0.5, observer=observer)
+        result = run(config, data, data, grid, observer=observer)
         assert result.status == status
         assert result.times.tolist() == seen_t
         assert result.maxabs.tolist() == seen_peak
@@ -433,7 +446,7 @@ class TestRun:
         grid = GridSpec(dim=1, length=32 * np.pi, points=128)
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         config = SolverConfig(p=2.0, eps=0.3, dt=0.02, t_end=2e4)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        result = run(config, data, data, grid)
         assert result.status == STATUS_BLOW_UP
         ratios = approach_ratios(result, 2.0)
         assert ratios[-1] < 1.0
@@ -446,27 +459,31 @@ class TestRun:
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=5.0)
         writeable = []
-        run(config, data, data, grid, 1.0, 0.5,
-            observer=lambda t, u_phys: writeable.append(u_phys.flags.writeable))
+        run(config, data, data, grid,
+            observer=lambda t, fields: writeable.extend(
+                array.flags.writeable for array in fields))
         assert len(writeable) > 1 and not any(writeable)
 
-        def halve(t, u_phys):
-            u_phys *= 0.5
+        for index in (0, 1):  # the coefficients, then the physical field
+            def halve(t, fields):
+                fields[index][...] *= 0.5
 
-        with pytest.raises(ValueError, match="read-only"):
-            run(config, data, data, grid, 1.0, 0.5, observer=halve)
+            with pytest.raises(ValueError, match="read-only"):
+                run(config, data, data, grid, observer=halve)
 
     def test_weighted_sup_is_the_largest_over_rows(self):
         grid = small_grid()
         data = 0.1 * gaussian(grid, grid.length / 40)
         s, gamma = 0.75, 0.5
         config = SolverConfig(p=2.0, eps=0.5, dt=0.02, t_end=5.0)
-        result = run(config, data, data, grid, s, gamma)
+        history = NormHistory(grid, s, gamma)
+        run(config, data, data, grid, observer=history)
+        times, l2s, hss, _ = np.asarray(history.rows).T
         expected = max((1.0 + t) ** (gamma / 2.0) * l2
                        + (1.0 + t) ** ((s + gamma) / 2.0) * hs
-                       for t, l2, hs in zip(result.times.tolist(),
-                                            result.l2.tolist(), result.hs.tolist()))
-        assert result.weighted_sup == expected
+                       for t, l2, hs in zip(times.tolist(), l2s.tolist(),
+                                            hss.tolist()))
+        assert history.weighted_sup() == expected
 
     @pytest.mark.parametrize("dt", [0.5, 2.0])
     def test_step_beyond_horizon_records_both_ends(self, dt):
@@ -475,7 +492,7 @@ class TestRun:
         grid = small_grid()
         data = 0.1 * gaussian(grid, grid.length / 40)
         config = SolverConfig(p=2.0, eps=0.5, dt=dt, t_end=0.5)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        result = run(config, data, data, grid)
         assert result.status == STATUS_COMPLETED
         assert result.times.tolist() == [0.0, 0.5]
 
@@ -485,8 +502,7 @@ class TestRun:
         config = SolverConfig(p=2.0, eps=1.0, dt=0.02, t_end=400.0)
         lifespans = []
         for eps in (1.0, 2.0, 4.0):
-            lifespan = run(replace(config, eps=eps), data, data, grid, 1.0,
-                           0.5).lifespan
+            lifespan = run(replace(config, eps=eps), data, data, grid).lifespan
             assert math.isfinite(lifespan)
             lifespans.append(lifespan)
         assert lifespans[0] >= lifespans[1] >= lifespans[2]
@@ -496,8 +512,8 @@ class TestRun:
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         base = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0, theta=1e8)
         wide = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0, theta=1e16)
-        t_narrow = run(base, data, data, grid, 1.0, 0.5).lifespan
-        t_wide = run(wide, data, data, grid, 1.0, 0.5).lifespan
+        t_narrow = run(base, data, data, grid).lifespan
+        t_wide = run(wide, data, data, grid).lifespan
         assert math.isfinite(t_narrow) and math.isfinite(t_wide)
         assert abs(t_wide - t_narrow) / t_narrow < 0.02
 
@@ -509,7 +525,7 @@ class TestRun:
         grid = small_grid(points=64)
         data = gaussian(grid, grid.length / 10)
         config = SolverConfig(p=2.0, eps=5.0, dt=0.1, t_end=10.0)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        result = run(config, data, data, grid)
         assert result.status == STATUS_STEP_UNDERFLOW
         assert result.lifespan == result.times[-1]
 
@@ -523,11 +539,11 @@ class TestRun:
         config = SolverConfig(p=2.0, eps=0.3, dt=0.1, t_end=10.0)
         seen_t, seen_peak = [], []
 
-        def observer(t, u_phys):
+        def observer(t, fields):
             seen_t.append(t)
-            seen_peak.append(float(np.max(np.abs(u_phys))))
+            seen_peak.append(float(np.max(np.abs(fields[1]))))
 
-        result = run(config, u0, -u0, grid, 1.0, 0.5, observer=observer)
+        result = run(config, u0, -u0, grid, observer=observer)
         assert result.status == STATUS_STEP_UNDERFLOW
         assert result.lifespan == seen_t[-1] < config.t_end
         assert result.times[-1] == result.lifespan
@@ -544,28 +560,25 @@ class TestRun:
         (1.0, math.inf, "gamma must be positive and finite"),
     ])
     def test_rejects_bad_norm_orders(self, s, gamma, message):
-        # refused before any work; a NaN gamma would give an all-NaN H^-gamma
-        # column and still complete
-        grid = small_grid()
-        data = gaussian(grid, grid.length / 40)
-        config = SolverConfig(p=2.0, eps=0.5, dt=0.1, t_end=1.0)
+        # the norm observer refuses them when it is built, before any run; a
+        # NaN gamma would give an all-NaN H^-gamma column and still complete
         with pytest.raises(DomainError, match=re.escape(message)):
-            run(config, data, data, grid, s, gamma,
-                observer=lambda t, _: pytest.fail(f"observer called at t = {t}"))
+            NormHistory(small_grid(), s, gamma)
 
     def test_shape_mismatch(self):
         grid = small_grid()
         config = SolverConfig(p=2.0, eps=1.0, dt=0.1, t_end=1.0)
         with pytest.raises(Exception):
-            run(config, np.zeros(8), np.zeros(8), grid, 1.0, 0.5)
+            run(config, np.zeros(8), np.zeros(8), grid)
 
     def test_three_dimensional_smoke(self):
         grid = GridSpec(dim=3, length=8 * np.pi, points=16)
         data = 0.2 * gaussian(grid, grid.length / 8)
         config = SolverConfig(p=2.0, eps=0.5, dt=0.05, t_end=1.0)
-        result = run(config, data, np.zeros(grid.shape), grid, 1.0, 0.5)
+        history = NormHistory(grid, 1.0, 0.5)
+        result = run(config, data, np.zeros(grid.shape), grid, observer=history)
         assert result.status == STATUS_COMPLETED
-        assert np.all(np.isfinite(result.l2))
+        assert np.all(np.isfinite(np.asarray(history.rows)[:, 1]))
 
 
 def complex_fft_lifespan(config, u0, u1, grid):
@@ -624,7 +637,7 @@ class TestHalfSpectrumAgainstComplexFFT:
         grid = GridSpec(dim=1, length=100 * np.pi, points=512)
         data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
         config = SolverConfig(p=2.0, eps=2.0, dt=0.02, t_end=400.0)
-        result = run(config, data, data, grid, 1.0, 0.5)
+        result = run(config, data, data, grid)
         expected = complex_fft_lifespan(config, data, data, grid)
         assert math.isfinite(expected)
         assert result.lifespan == pytest.approx(expected, rel=1e-12)
@@ -636,7 +649,7 @@ def ledger_run(grid=DEFAULT_GRIDS[1], **changes):
     data = make_initial_data("critical_tail", grid, amplitude=1.0, gamma=0.5)
     config = replace(SolverConfig(p=2.0, eps=7e-3, dt=0.02, t_end=2e4), **changes)
     times = []
-    result = run(config, data, data, grid, 1.0, 0.5,
+    result = run(config, data, data, grid,
                  observer=lambda t, _: times.append(t))
     assert result.status == STATUS_BLOW_UP
     return result, len(times) - 1
@@ -666,7 +679,7 @@ class TestLifespanAccuracy:
         grid = GridSpec(dim=1, length=2 * np.pi, points=8)
         ones = np.ones(grid.shape)
         config = SolverConfig(p=p, eps=eps, dt=0.02, t_end=1e5)
-        result = run(config, ones, ones, grid, 1.0, 0.5)
+        result = run(config, ones, ones, grid)
         assert result.status == STATUS_BLOW_UP
 
         def reaches_far(_, y):
@@ -754,8 +767,7 @@ class TestBeyondFujita:
         lifespans = []
         # measured T = 9.288, 36.16, 186.18
         for eps in (0.35, 0.25, 0.2):
-            result = run(replace(self.CONFIG, eps=eps), tail, tail, grid, 1.0,
-                         self.GAMMA)
+            result = run(replace(self.CONFIG, eps=eps), tail, tail, grid)
             assert result.status == STATUS_BLOW_UP
             lifespans.append(result.lifespan)
         assert lifespans[-1] <= 1e3
@@ -763,8 +775,7 @@ class TestBeyondFujita:
         # measured max|u| at t_end / at t = 0: 4.0e-3 and 3.5e-3
         bump = gaussian(grid, 1.0)
         for eps in (0.25, 0.2):
-            result = run(replace(self.CONFIG, eps=eps), bump, bump, grid, 1.0,
-                         self.GAMMA)
+            result = run(replace(self.CONFIG, eps=eps), bump, bump, grid)
             assert result.status == STATUS_COMPLETED
             assert result.times[-1] == self.CONFIG.t_end
             assert result.maxabs[-1] <= 1e-2 * result.maxabs[0]
